@@ -229,26 +229,20 @@ func BenchmarkCompilerResched(b *testing.B) {
 // BenchmarkShardedLongTrace measures the sharded long-trace path: a
 // one-point sweep over a single long production-style trace, unsharded
 // (whole-trace warm-up + measured pass, the serialization ROADMAP called
-// out) versus sharded into 8 sample windows at 8 workers — once per warm
-// mode, each at its runner-default prefix: timed warm-up (win/4, every
-// warm instruction simulated) and functional warm-up (core.WarmReplay
-// over two windows of history, timing-free). Note the timed arm's config:
-// BENCH_3/BENCH_4 recorded sharded-s with an explicit warm=len/128 (a
-// benchmark-special short prefix), so their sharded-s history is not
-// directly comparable to timedwarm-sharded-s here, which measures the
-// timed mode as the Runner actually defaults it. Sharding wins even on
-// one CPU — each window runs one pass over its warm-up prefix plus span
-// instead of two full passes — and parallel machines additionally overlap
-// the windows.
+// out) versus sharded into 8 sample windows at 8 workers, each window's
+// history replayed functionally (core.WarmReplay, timing-free). Sharding
+// wins even on one CPU — each window runs one pass over its warm-up prefix
+// plus span instead of two full passes — and parallel machines
+// additionally overlap the windows.
 //
-// Two acceptance metrics: sharded-speedup (unsharded over functional
-// sharded wall-clock, recorded since BENCH_3.json; sharded-s must stay at
-// or under timedwarm-sharded-s) and shard-bias-% (the absolute IPC
-// deviation of the functional-warm stitch from the cold single production
-// pass the windows approximate — low single digits, vs tens of percent for
-// the timed warm-up, timedwarm-bias-%; gated in bench_check.sh).
+// Two acceptance metrics: sharded-speedup (unsharded over sharded
+// wall-clock, recorded since BENCH_3.json) and shard-bias-% (the absolute
+// IPC deviation of the sharded stitch from the cold single production pass
+// the windows approximate; gated in bench_check.sh). BENCH_3 through
+// BENCH_10 also recorded a timed-warm-up arm (timedwarm-sharded-s,
+// timedwarm-bias-%); that warm-up mode no longer exists.
 //
-// A fourth arm repeats the functional-warm run with the result journal
+// A third arm repeats the sharded run with the result journal
 // enabled against a cold directory each iteration — all cost, no replay
 // benefit — and reports journal-overhead-% (recorded since BENCH_6.json;
 // the resilience layer's cache must stay under a few percent on top of
@@ -259,7 +253,7 @@ func BenchmarkCompilerResched(b *testing.B) {
 // warm=-1, the full trace prefix — through a warm-state checkpoint store
 // primed once before the clock starts, so every timed window start is an
 // O(state) snapshot restore plus a residual replay of at most one window.
-// A fifth arm runs the identical full-history configuration with
+// A fourth arm runs the identical full-history configuration with
 // checkpoints disabled (live functional replay of every prefix, the
 // reference path) and must produce bit-identical results; the pair yields
 // ckptoff-sharded-s, ckpt-restore-speedup (reference over checkpointed
@@ -292,33 +286,23 @@ func BenchmarkShardedLongTrace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prime := (&sim.Runner{Workers: 8}).WithWindow(win, 0).WithCheckpointStore(st)
+	prime := &sim.Runner{Workers: 8, WindowInsts: win, CkptStore: st}
 	if _, _, err := prime.RunPoint(ctx, cfg, []*trace.Trace{tr}); err != nil {
 		b.Fatal(err)
 	}
 	primed := st.Stats()
 	b.ResetTimer()
-	var unsharded, timedWarm, sharded, ckptOff, journaled time.Duration
-	var timedRes, funcRes *core.Result
+	var unsharded, sharded, ckptOff, journaled time.Duration
+	var funcRes *core.Result
 	for i := 0; i < b.N; i++ {
 		// Explicit opt-out: auto-windowing would otherwise shard this trace.
-		r := (&sim.Runner{Workers: 8}).WithWindow(-1, 0)
+		r := &sim.Runner{Workers: 8, WindowInsts: -1}
 		t0 := time.Now()
 		if _, _, err := r.RunPoint(ctx, cfg, []*trace.Trace{tr}); err != nil {
 			b.Fatal(err)
 		}
 		unsharded += time.Since(t0)
-		rt := (&sim.Runner{Workers: 8}).
-			WithWindow(win, 0). // the timed default warm (win/4)
-			WithWarmMode(core.WarmTimed)
-		t1 := time.Now()
-		tper, _, err := rt.RunPoint(ctx, cfg, []*trace.Trace{tr})
-		if err != nil {
-			b.Fatal(err)
-		}
-		timedWarm += time.Since(t1)
-		timedRes = tper[0]
-		rf := (&sim.Runner{Workers: 8}).WithWindow(win, 0).WithCheckpointStore(st)
+		rf := &sim.Runner{Workers: 8, WindowInsts: win, CkptStore: st}
 		t2 := time.Now()
 		fper, _, err := rf.RunPoint(ctx, cfg, []*trace.Trace{tr})
 		if err != nil {
@@ -329,7 +313,7 @@ func BenchmarkShardedLongTrace(b *testing.B) {
 		// The reference path: identical full-history windows, every prefix
 		// replayed live. Bit-identity here is the benchmark's correctness
 		// gate for the store.
-		ro := (&sim.Runner{Workers: 8}).WithWindow(win, 0).WithDisableCheckpoints(true)
+		ro := &sim.Runner{Workers: 8, WindowInsts: win, DisableCheckpoints: true}
 		t3 := time.Now()
 		oper, _, err := ro.RunPoint(ctx, cfg, []*trace.Trace{tr})
 		if err != nil {
@@ -343,10 +327,7 @@ func BenchmarkShardedLongTrace(b *testing.B) {
 		// (trace hashing, encode, fsync-free atomic rename) with zero hits.
 		// The shared checkpoint store rides along so the only delta against
 		// the sharded arm is the journal itself.
-		rj := (&sim.Runner{Workers: 8}).
-			WithWindow(win, 0).
-			WithCheckpointStore(st).
-			WithJournal(b.TempDir())
+		rj := &sim.Runner{Workers: 8, WindowInsts: win, CkptStore: st, JournalDir: b.TempDir()}
 		t4 := time.Now()
 		jper, _, err := rj.RunPoint(ctx, cfg, []*trace.Trace{tr})
 		if err != nil {
@@ -359,7 +340,6 @@ func BenchmarkShardedLongTrace(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(unsharded.Seconds()/float64(b.N), "unsharded-s")
-	b.ReportMetric(timedWarm.Seconds()/float64(b.N), "timedwarm-sharded-s")
 	b.ReportMetric(sharded.Seconds()/float64(b.N), "sharded-s")
 	b.ReportMetric(unsharded.Seconds()/sharded.Seconds(), "sharded-speedup")
 	// Both absolute rates, so the trajectory JSON is self-describing: the
@@ -367,7 +347,6 @@ func BenchmarkShardedLongTrace(b *testing.B) {
 	b.ReportMetric(float64(len(tr.Insts))*float64(b.N)/unsharded.Seconds(), "unsharded-insts/s")
 	b.ReportMetric(float64(len(tr.Insts))*float64(b.N)/sharded.Seconds(), "sharded-insts/s")
 	b.ReportMetric(bias(funcRes), "shard-bias-%")
-	b.ReportMetric(bias(timedRes), "timedwarm-bias-%")
 	b.ReportMetric(journaled.Seconds()/float64(b.N), "journaled-sharded-s")
 	b.ReportMetric(100*(journaled.Seconds()-sharded.Seconds())/sharded.Seconds(), "journal-overhead-%")
 	b.ReportMetric(ckptOff.Seconds()/float64(b.N), "ckptoff-sharded-s")

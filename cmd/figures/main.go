@@ -32,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/report"
@@ -47,62 +46,14 @@ func main() {
 	seeds := flag.Int("seeds", 2, "traces per workload class")
 	mv := flag.Int("mv", 575, "voltage for the breakdown statistic")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	width := flag.Int("width", 0, "fetch/issue width of the simulated core, 1..4 (0 = the modelled default, 2)")
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-	window := flag.Int("window", 0, "shard traces into sample windows of this many instructions (0 = auto for long traces, <0 = off)")
-	warm := flag.Int("warm", 0, "warm-up prefix per sample window (0 = mode default, <0 = full prefix)")
-	warmMode := flag.String("warmmode", "functional", "sample-window warm-up: functional (timing-free replay) or timed")
-	ckptSpec := flag.String("ckpt", "", "warm-state checkpoint store: auto (default; journal dir or in-memory), off, or a directory")
-	timeout := flag.Duration("timeout", 0, "per-point wall-clock budget (0 = none)")
-	progress := flag.Bool("progress", false, "print per-point progress lines to stderr as grid cells complete")
-	journal := flag.String("journal", "", "journal completed cells to this directory and replay them on restart")
-	journalBudget := flag.Int64("journal-budget", 0, "journal disk budget in bytes; least-recently-used entries evict past it (0 = unbounded)")
-	ckptBudget := flag.Int64("ckpt-budget", 0, "checkpoint-store disk budget in bytes (0 = unbounded)")
-	retries := flag.Int("retries", 0, "retry transiently-failed cells (timeouts) this many times")
-	retryBackoff := flag.Duration("retry-backoff", time.Second, "backoff before the first retry (doubles per attempt)")
-	allowPartial := flag.Bool("allow-partial", false, "keep going past failed cells; streaming tables mark them FAIL(reason)")
 	server := flag.String("server", "", "run the sweep on a sweepd daemon at this address (-fig 11b only)")
+	runner := sim.Default()
+	runner.RegisterFlags(flag.CommandLine, "figures")
 	flag.Parse()
-	wm, err := sim.ParseWarmMode(*warmMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(2)
-	}
-	sim.SetWorkers(*workers)
-	sim.SetWidth(*width)
-	sim.SetWindow(*window, *warm)
-	sim.SetWarmMode(wm)
-	sim.SetPointTimeout(*timeout)
-	sim.SetJournal(*journal)
-	sim.SetJournalBudget(*journalBudget)
-	sim.SetCheckpoints(*ckptSpec)
-	sim.SetCheckpointBudget(*ckptBudget)
-	sim.SetRetries(*retries, *retryBackoff)
-	sim.SetAllowPartial(*allowPartial)
-	if *progress {
-		start := time.Now()
-		sim.SetProgress(func(u sim.PointUpdate) {
-			switch {
-			case u.Err != nil && u.Point >= 0:
-				fmt.Fprintf(os.Stderr, "figures: [%6.2fs] %3d/%d %s %s FAILED: %v\n",
-					time.Since(start).Seconds(), u.Done, u.Total, u.Label, u.TraceName, u.Err)
-			case u.Err != nil:
-				// Terminal update; the error surfaces through the generator.
-			default:
-				tag := ""
-				if u.Replayed {
-					tag = " [journal]"
-				}
-				fmt.Fprintf(os.Stderr, "figures: [%6.2fs] %3d/%d %s %s (%d window(s))%s\n",
-					time.Since(start).Seconds(), u.Done, u.Total, u.Label, u.TraceName, u.Windows, tag)
-			}
-		})
-	}
 
 	spec := sim.SuiteSpec{InstsPerTrace: *insts, SeedsPerProfile: *seeds}
 	g := &gen{csv: *csv, spec: spec, breakdownMV: circuit.Millivolts(*mv),
-		server: *server, window: *window, warm: *warm, warmMode: *warmMode,
-		width: *width}
+		server: *server, runner: runner}
 	if *server != "" && *fig != "11b" {
 		fmt.Fprintln(os.Stderr, "figures: -server only supports -fig 11b (the voltage-sweep figure)")
 		os.Exit(2)
@@ -120,13 +71,10 @@ type gen struct {
 	traces      []*trace.Trace
 
 	// server, when non-empty, runs the Figure 11(b) sweep on a sweepd
-	// daemon at that address; the windowing flags ride along so the
-	// daemon's cell keys match a local journal's.
-	server   string
-	window   int
-	warm     int
-	warmMode string
-	width    int
+	// daemon at that address; runner's windowing and width ride along so
+	// the daemon's cell keys match a local journal's.
+	server string
+	runner *sim.Runner
 }
 
 func (g *gen) suite() []*trace.Trace {
@@ -217,10 +165,9 @@ func (g *gen) serverFig11b() error {
 		InstsPerTrace:   g.spec.InstsPerTrace,
 		SeedsPerProfile: g.spec.SeedsPerProfile,
 		Modes:           []string{"baseline", "iraw"},
-		WindowInsts:     g.window,
-		WarmInsts:       g.warm,
-		WarmMode:        g.warmMode,
-		Width:           g.width,
+		WindowInsts:     g.runner.WindowInsts,
+		WarmInsts:       g.runner.WarmInsts,
+		Width:           g.runner.Width,
 	}
 	failed := 0
 	err = cl.StreamLevels(context.Background(), spec,

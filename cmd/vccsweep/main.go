@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/report"
@@ -31,67 +30,19 @@ func main() {
 	insts := flag.Int("insts", 40000, "instructions per trace")
 	seeds := flag.Int("seeds", 1, "traces per workload class")
 	modesFlag := flag.String("modes", "baseline,iraw", "comma-separated designs to sweep")
-	width := flag.Int("width", 0, "fetch/issue width of the swept core, 1..4 (0 = the modelled default, 2)")
 	csv := flag.Bool("csv", false, "emit CSV")
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-	window := flag.Int("window", 0, "shard traces into sample windows of this many instructions (0 = auto for long traces, <0 = off)")
-	warm := flag.Int("warm", 0, "warm-up prefix per sample window (0 = mode default, <0 = full prefix)")
-	warmMode := flag.String("warmmode", "functional", "sample-window warm-up: functional (timing-free replay) or timed")
-	ckptSpec := flag.String("ckpt", "", "warm-state checkpoint store: auto (default; journal dir or in-memory), off, or a directory")
-	timeout := flag.Duration("timeout", 0, "per-point wall-clock budget (0 = none)")
-	progress := flag.Bool("progress", false, "print per-point progress lines to stderr")
-	journal := flag.String("journal", "", "journal completed cells to this directory and replay them on restart")
-	journalBudget := flag.Int64("journal-budget", 0, "journal disk budget in bytes; least-recently-used entries evict past it (0 = unbounded)")
-	ckptBudget := flag.Int64("ckpt-budget", 0, "checkpoint-store disk budget in bytes (0 = unbounded)")
-	retries := flag.Int("retries", 0, "retry transiently-failed cells (timeouts) this many times")
-	retryBackoff := flag.Duration("retry-backoff", time.Second, "backoff before the first retry (doubles per attempt)")
-	allowPartial := flag.Bool("allow-partial", false, "keep sweeping past failed cells and render them as FAIL(reason)")
 	server := flag.String("server", "", "run the sweep on a sweepd daemon at this address instead of in-process")
+	runner := sim.Default()
+	runner.RegisterFlags(flag.CommandLine, "vccsweep")
 	flag.Parse()
-	wm, err := sim.ParseWarmMode(*warmMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vccsweep:", err)
-		os.Exit(2)
-	}
-	sim.SetWorkers(*workers)
-	sim.SetWidth(*width)
-	sim.SetWindow(*window, *warm)
-	sim.SetWarmMode(wm)
-	sim.SetPointTimeout(*timeout)
-	sim.SetJournal(*journal)
-	sim.SetJournalBudget(*journalBudget)
-	sim.SetCheckpoints(*ckptSpec)
-	sim.SetCheckpointBudget(*ckptBudget)
-	sim.SetRetries(*retries, *retryBackoff)
-	sim.SetAllowPartial(*allowPartial)
-	if *progress {
-		start := time.Now()
-		sim.SetProgress(func(u sim.PointUpdate) {
-			switch {
-			case u.Err != nil && u.Point >= 0:
-				fmt.Fprintf(os.Stderr, "vccsweep: [%6.2fs] %3d/%d %s %s FAILED: %v\n",
-					time.Since(start).Seconds(), u.Done, u.Total, u.Label, u.TraceName, u.Err)
-			case u.Err != nil:
-				// Terminal update; the error surfaces through run().
-			default:
-				tag := ""
-				if u.Replayed {
-					tag = " [journal]"
-				}
-				fmt.Fprintf(os.Stderr, "vccsweep: [%6.2fs] %3d/%d %s %s (%d window(s))%s\n",
-					time.Since(start).Seconds(), u.Done, u.Total, u.Label, u.TraceName, u.Windows, tag)
-			}
-		})
-	}
 
 	if *server != "" {
 		spec := sim.SweepSpec{
 			InstsPerTrace:   *insts,
 			SeedsPerProfile: *seeds,
-			WindowInsts:     *window,
-			WarmInsts:       *warm,
-			WarmMode:        *warmMode,
-			Width:           *width,
+			WindowInsts:     runner.WindowInsts,
+			WarmInsts:       runner.WarmInsts,
+			Width:           runner.Width,
 		}
 		if err := runServer(*server, spec, *modesFlag, *csv); err != nil {
 			fmt.Fprintln(os.Stderr, "vccsweep:", err)

@@ -21,9 +21,8 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
+	sim.Default().RegisterFlags(flag.CommandLine, "governor", "workers")
 	flag.Parse()
-	sim.SetWorkers(*workers)
 
 	// --- Offline planning over measured points -------------------------
 	traces := lowvcc.StandardSuite(15000, 1)

@@ -18,11 +18,8 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-	width := flag.Int("width", 0, "fetch/issue width of every compared design, 1..4 (0 = the modelled default, 2)")
+	sim.Default().RegisterFlags(flag.CommandLine, "mechanisms", "workers", "width")
 	flag.Parse()
-	sim.SetWorkers(*workers)
-	sim.SetWidth(*width)
 
 	traces := lowvcc.StandardSuite(30000, 1)
 	res, err := sim.Table1(traces, 500)

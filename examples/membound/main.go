@@ -26,19 +26,9 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-	width := flag.Int("width", 0, "fetch/issue width, 1..4 (0 = the modelled default, 2)")
-	window := flag.Int("window", 0, "sample-window instructions for sharded long traces (0 = off)")
-	warm := flag.Int("warm", 0, "warm-up instructions per sample window (0 = mode default, <0 = full prefix)")
-	warmMode := flag.String("warmmode", "functional", "sample-window warm-up: functional or timed")
+	runner := sim.Default()
+	runner.RegisterFlags(flag.CommandLine, "membound", "workers", "width", "window", "warm")
 	flag.Parse()
-	wm, err := sim.ParseWarmMode(*warmMode)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim.SetWorkers(*workers)
-	sim.SetWindow(*window, *warm)
-	sim.SetWarmMode(wm)
 
 	const vcc = lowvcc.Millivolts(450)
 	workloads := []lowvcc.Profile{
@@ -60,7 +50,7 @@ func main() {
 	// metric, not BenchmarkMemBoundThroughput's per-pass insts/s).
 	sweep := func(disableFastPaths bool) (bases, iraws []*lowvcc.Result, instsPerSec float64) {
 		start := time.Now()
-		w := *width
+		w := runner.Width
 		if w == 0 {
 			w = 2 // the modelled default; DefaultConfigWidth(…, 2) == DefaultConfig
 		}

@@ -19,11 +19,8 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "simulation worker goroutines (0 = GOMAXPROCS)")
-	width := flag.Int("width", 0, "fetch/issue width, 1..4 (0 = the modelled default, 2)")
+	sim.Default().RegisterFlags(flag.CommandLine, "quickstart", "workers", "width")
 	flag.Parse()
-	sim.SetWorkers(*workers)
-	sim.SetWidth(*width)
 
 	tr := lowvcc.GenerateTrace(lowvcc.SpecIntProfile(), 100000, 1)
 

@@ -54,15 +54,13 @@
 // # Functional warm-up replay
 //
 // RunWindow executes one sample window of a sharded long trace: a warm-up
-// prefix whose statistics are discarded, then the measured span. The warm
-// mode selects the prefix's execution. WarmTimed simulates it — exact, but
-// every warm instruction costs a simulated one, so affordable prefixes are
-// short and windows start tens of percent pessimistic. WarmFunctional (the
-// default) replays it through WarmReplay under the hierarchy's
-// timing-independent access-order contract (see internal/cache): one
-// instruction-fetch touch per 64-byte line transition, one data touch per
-// load or store, one predictor update per control instruction, all
-// timing-free. The invariants that make the handoff sound:
+// prefix whose statistics are discarded, then the measured span. The prefix
+// is replayed functionally through WarmReplay — not simulated, so a prefix
+// can grow to a window's entire history at a fraction of simulation cost —
+// under the hierarchy's timing-independent access-order contract (see
+// internal/cache): one instruction-fetch touch per 64-byte line transition,
+// one data touch per load or store, one predictor update per control
+// instruction, all timing-free. The invariants that make the handoff sound:
 //
 //   - warm state is a pure function of the instruction sequence —
 //     independent of clock plan, Vcc, IRAW mode and the cycle the replay
@@ -73,9 +71,8 @@
 //   - nothing timing-visible moves: no cycles elapse, no statistics
 //     change, and the timed engine takes over at the next cycle with the
 //     pipeline cold (the same few-cycle ramp any trace head pays);
-//   - WarmReplay(tr, 0) is a no-op, so RunWindow(tr, 0, mode) is exactly
-//     Run(tr) in both modes — warm=0 windows stay bit-identical to the
-//     unsharded engine.
+//   - WarmReplay(tr, 0) is a no-op, so RunWindow(tr, 0) is exactly Run(tr)
+//     — warm=0 windows stay bit-identical to the unsharded engine.
 //
 // The replay trains predictor direction state exactly (training depends
 // only on resolved outcomes, never on timing) and cache/TLB/LRU/dirty

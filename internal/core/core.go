@@ -433,8 +433,8 @@ func (c *Core) dispatchWakes(cycle int64) (dispatched bool) {
 func (c *Core) SetStopCheck(f func() error) { c.stop = f }
 
 // statBases snapshots every counter a Result diffs against, taken when
-// measurement starts (core construction time for a whole run, the window
-// boundary for RunWindow).
+// measurement starts: before the first simulated cycle of every run, after
+// any warm-up the core was given.
 type statBases struct {
 	rf         regfile.Stats
 	mem        cache.HierarchyStats
@@ -444,25 +444,21 @@ type statBases struct {
 	bp         predictor.Stats
 	rfv, cv    uint64
 	noop       uint64
-	run        stats.Run
-	cycle      int64
 }
 
-func (c *Core) snapBases(run *stats.Run, cycle int64) statBases {
+func (c *Core) snapBases() statBases {
 	return statBases{
-		rf:    c.rf.Stats(),
-		mem:   c.mem.Stats(),
-		il0:   c.mem.IL0.Stats(),
-		dl0:   c.mem.DL0.Stats(),
-		ul1:   c.mem.UL1.Stats(),
-		itlb:  c.mem.ITLB.Stats(),
-		dtlb:  c.mem.DTLB.Stats(),
-		bp:    c.bp.Stats(),
-		rfv:   c.rf.Array().Stats().ViolationReads,
-		cv:    c.mem.ViolationReads(),
-		noop:  c.q.NOOPsInjected,
-		run:   *run,
-		cycle: cycle,
+		rf:   c.rf.Stats(),
+		mem:  c.mem.Stats(),
+		il0:  c.mem.IL0.Stats(),
+		dl0:  c.mem.DL0.Stats(),
+		ul1:  c.mem.UL1.Stats(),
+		itlb: c.mem.ITLB.Stats(),
+		dtlb: c.mem.DTLB.Stats(),
+		bp:   c.bp.Stats(),
+		rfv:  c.rf.Array().Stats().ViolationReads,
+		cv:   c.mem.ViolationReads(),
+		noop: c.q.NOOPsInjected,
 	}
 }
 
@@ -477,69 +473,54 @@ func (c *Core) snapBases(run *stats.Run, cycle int64) statBases {
 // and why stall attribution is preserved. Results are bit-identical to
 // strict cycle stepping (golden + fuzz equivalence tests hold the engines
 // together).
-func (c *Core) Run(tr *trace.Trace) (*Result, error) { return c.run(tr, 0) }
+func (c *Core) Run(tr *trace.Trace) (*Result, error) { return c.run(tr) }
 
-// RunWindow simulates tr's measured span — the instructions from
-// measureFrom on — after executing the leading instructions as warm-up
-// whose statistics are excluded from the Result. RunWindow(tr, 0, mode) is
-// exactly Run(tr) for every mode: with nothing to warm, both modes hand the
-// whole trace to the timed engine bit-identically.
+// RunWindow simulates one sample window of a sharded long trace: the
+// leading measureFrom instructions are a warm-up prefix, functionally
+// replayed through WarmReplay (timing-free, at a fraction of simulation
+// cost), and the instructions from measureFrom on are the measured span,
+// simulated by RunWarmed on a pipeline that starts cold but with warm
+// caches and predictor. Measurement covers every simulated cycle, so the
+// boundary is trivially deterministic. RunWindow(tr, 0) is exactly Run(tr).
 //
-// The warm mode selects the execution half of the sample-window
-// methodology (trace.Shard produces the windows, the sim runner fans them
-// out, core.MergeWindowResults stitches the pieces):
-//
-//   - WarmFunctional (the default) replays the prefix through WarmReplay —
-//     timing-free, at a fraction of simulation cost — and starts the timed
-//     engine cold-pipelined but warm-stated at the boundary. The boundary
-//     is trivially deterministic: measurement covers every simulated cycle.
-//   - WarmTimed executes the whole trace on the timed engine and snapshots
-//     statistics at the top of the first cycle after the measureFrom-th
-//     instruction issued — deterministic regardless of engine mode (stepped
-//     or event-driven), as before.
-func (c *Core) RunWindow(tr *trace.Trace, measureFrom int, warm WarmMode) (*Result, error) {
+// trace.Shard produces the windows, the sim runner fans them out, and
+// core.MergeWindowResults stitches the pieces.
+func (c *Core) RunWindow(tr *trace.Trace, measureFrom int) (*Result, error) {
 	if measureFrom < 0 || measureFrom >= len(tr.Insts) {
 		return nil, fmt.Errorf("core: window start %d out of range for trace %q (%d insts)",
 			measureFrom, tr.Name, len(tr.Insts))
 	}
-	if warm == WarmFunctional {
-		if measureFrom > 0 {
-			if err := c.WarmReplay(tr, measureFrom); err != nil {
-				return nil, err
-			}
-		}
-		return c.RunWarmed(tr, measureFrom)
+	if err := c.WarmReplay(tr, measureFrom); err != nil {
+		return nil, err
 	}
-	return c.run(tr, measureFrom)
+	return c.RunWarmed(tr, measureFrom)
 }
 
 // RunWarmed simulates tr's measured span — the instructions from measureFrom
 // on — on the timed engine, assuming the warm-up prefix has already been
 // applied to the core (via WarmReplay/WarmReplayRange, a checkpoint
-// RestoreWarm, or any mix of restore and residual replay). It is the second
-// half of RunWindow's functional branch, exposed so the checkpoint store can
-// substitute a snapshot restore for the live replay; measurement covers
-// every simulated cycle, exactly as in RunWindow.
+// RestoreWarm, or any mix of restore and residual replay). It is
+// RunWindow's second half, exposed so the checkpoint store can substitute a
+// snapshot restore for the live replay.
 func (c *Core) RunWarmed(tr *trace.Trace, measureFrom int) (*Result, error) {
 	if measureFrom < 0 || measureFrom >= len(tr.Insts) {
 		return nil, fmt.Errorf("core: window start %d out of range for trace %q (%d insts)",
 			measureFrom, tr.Name, len(tr.Insts))
 	}
 	span := &trace.Trace{Name: tr.Name, Insts: tr.Insts[measureFrom:]}
-	return c.run(span, 0)
+	return c.run(span)
 }
 
-func (c *Core) run(tr *trace.Trace, measureFrom int) (*Result, error) {
+func (c *Core) run(tr *trace.Trace) (*Result, error) {
 	insts := tr.Insts
 	total := len(insts)
 	if total == 0 {
 		return nil, fmt.Errorf("core: empty trace %q", tr.Name)
 	}
 
-	// Stat snapshots so a Result reports this trace's measured span only;
-	// taken immediately for a whole run, at the window boundary otherwise.
-	var bases statBases
-	measuring := false
+	// Stat snapshot so a Result reports this run only, not whatever the
+	// core simulated or warmed before.
+	bases := c.snapBases()
 
 	var run stats.Run
 	c.fetch.clear()
@@ -580,15 +561,6 @@ func (c *Core) run(tr *trace.Trace, measureFrom int) (*Result, error) {
 
 	loopIters := 0
 	for issuedTotal < total {
-		// Measurement boundary: at the top of the first cycle after the
-		// measureFrom-th instruction issued. issuedTotal only changes in the
-		// issue stage and a cycle that issues never enters the bulk skip, so
-		// this trigger point is identical for the stepped and event-driven
-		// engines.
-		if !measuring && issuedTotal >= measureFrom {
-			bases = c.snapBases(&run, cycle)
-			measuring = true
-		}
 		if c.stop != nil && loopIters&1023 == 0 {
 			if err := c.stop(); err != nil {
 				return nil, fmt.Errorf("core: %s: run aborted: %w", tr.Name, err)
@@ -821,12 +793,8 @@ func (c *Core) run(tr *trace.Trace, measureFrom int) (*Result, error) {
 	}
 
 	c.now = cycle
-	// bases.run carries the warm span's counters (all zero for a whole run:
-	// the snapshot happens before the first cycle); Cycles/Instructions are
-	// only set here, after the diff.
-	run.Sub(&bases.run)
-	run.Cycles = uint64(cycle - bases.cycle)
-	run.Instructions = uint64(total - measureFrom)
+	run.Cycles = uint64(cycle - startCycle)
+	run.Instructions = uint64(total)
 	return c.buildResult(tr.Name, &run, &bases), nil
 }
 

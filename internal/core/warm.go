@@ -7,38 +7,6 @@ import (
 	"lowvcc/internal/trace"
 )
 
-// WarmMode selects how RunWindow executes a sample window's warm-up prefix.
-type WarmMode uint8
-
-const (
-	// WarmFunctional (the zero value, and the default everywhere) replays
-	// the prefix timing-free through WarmReplay: caches, TLBs, LRU state,
-	// the integrity oracle and the predictor are trained in access order at
-	// near-zero cost, with no ports, stalls or cycle accounting, and the
-	// timed engine takes over at the window boundary. This is the
-	// SMARTS-style functional-warming half of the sample-window
-	// methodology: it lets warm prefixes grow to whole windows of history,
-	// which shrinks the sharding bias from tens of percent to low single
-	// digits.
-	WarmFunctional WarmMode = iota
-	// WarmTimed executes the prefix on the timed engine and discards its
-	// statistics — the pre-functional behaviour, kept selectable for
-	// equivalence tests and benchmark baselines.
-	WarmTimed
-)
-
-// String implements fmt.Stringer.
-func (m WarmMode) String() string {
-	switch m {
-	case WarmFunctional:
-		return "functional"
-	case WarmTimed:
-		return "timed"
-	default:
-		return fmt.Sprintf("WarmMode(%d)", int(m))
-	}
-}
-
 // warmStopStride bounds how many instructions WarmReplay processes between
 // stop-check polls; replay is so much faster than timed simulation that a
 // coarser stride than the run loop's keeps preemption just as prompt.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -12,20 +11,21 @@ import (
 	"lowvcc/internal/workload"
 )
 
-// TestWarmFunctionalVsTimedFuzz drives RunWindow over random (profile,
-// seed, window, warm) combinations in both warm modes and checks the
-// functional-warming contract: with warm=0 the two modes are bit-identical
-// (nothing to warm — both are exactly Run over the span), and with a warm
-// prefix the measured spans cover the same instructions and land within the
-// golden sampling tolerance of each other (the two warm-ups produce
-// near-identical architectural state; only boundary transients differ).
-func TestWarmFunctionalVsTimedFuzz(t *testing.T) {
+// TestWarmFunctionalFuzz drives RunWindow over random (profile, seed,
+// operating point, window start) combinations and checks the
+// functional-warming contract: with nothing to warm the window is exactly
+// Run, the measured span covers exactly the suffix, avoidance holds however
+// the window was warmed, and replaying the prefix in two segments
+// (WarmReplayRange, as the checkpoint store's residual replay does) measures
+// bit-identically to one continuous replay. The accuracy reference — the
+// unsharded whole-pass run — is held by the sharding-bias test in
+// internal/sim.
+func TestWarmFunctionalFuzz(t *testing.T) {
 	src := rng.New(0xF00DF00D)
 	profiles := []workload.Profile{
 		workload.SpecInt(), workload.SpecFP(), workload.Server(), workload.Kernel(),
 	}
 	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}
-	const tol = 0.15
 	for i := 0; i < 12; i++ {
 		prof := profiles[src.Intn(len(profiles))]
 		n := 4000 + src.Intn(8000)
@@ -34,32 +34,42 @@ func TestWarmFunctionalVsTimedFuzz(t *testing.T) {
 		cfg := DefaultConfig(circuit.Millivolts(450+25*src.Intn(6)), mode)
 		measureFrom := src.Intn(n)
 
-		fun, err := MustNew(cfg).RunWindow(tr, measureFrom, WarmFunctional)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tim, err := MustNew(cfg).RunWindow(tr, measureFrom, WarmTimed)
+		fun, err := MustNew(cfg).RunWindow(tr, measureFrom)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if measureFrom == 0 {
-			if !reflect.DeepEqual(fun, tim) {
-				t.Fatalf("%s from=0: warm modes are not bit-identical", tr.Name)
+			whole, err := MustNew(cfg).Run(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fun, whole) {
+				t.Fatalf("%s from=0: RunWindow differs from Run", tr.Name)
 			}
 			continue
 		}
-		if fun.Run.Instructions != tim.Run.Instructions {
-			t.Fatalf("%s from=%d: measured %d vs %d instructions",
-				tr.Name, measureFrom, fun.Run.Instructions, tim.Run.Instructions)
+		if got, want := fun.Run.Instructions, uint64(n-measureFrom); got != want {
+			t.Fatalf("%s from=%d: measured %d instructions, want %d", tr.Name, measureFrom, got, want)
 		}
-		if d := math.Abs(fun.IPC()-tim.IPC()) / tim.IPC(); d > tol {
-			t.Errorf("%s %v from=%d: functional IPC %.4f vs timed %.4f (%.1f%% > %.0f%%)",
-				tr.Name, mode, measureFrom, fun.IPC(), tim.IPC(), 100*d, 100*tol)
-		}
-		// Avoidance must hold regardless of how the window was warmed.
 		if fun.CorruptConsumed != 0 || fun.IntegrityErrors != 0 {
 			t.Errorf("%s from=%d: functional warm-up leaked corruption (%d consumed, %d integrity)",
 				tr.Name, measureFrom, fun.CorruptConsumed, fun.IntegrityErrors)
+		}
+
+		split := src.Intn(measureFrom + 1)
+		c := MustNew(cfg)
+		if err := c.WarmReplayRange(tr, 0, split); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WarmReplayRange(tr, split, measureFrom); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := c.RunWarmed(tr, measureFrom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fun, seg) {
+			t.Errorf("%s from=%d split=%d: segmented replay differs from continuous", tr.Name, measureFrom, split)
 		}
 	}
 }
@@ -69,11 +79,11 @@ func TestWarmFunctionalVsTimedFuzz(t *testing.T) {
 func TestWarmReplayDeterministic(t *testing.T) {
 	tr := workload.Generate(workload.SpecInt(), 9000, 21)
 	cfg := DefaultConfig(500, circuit.ModeIRAW)
-	a, err := MustNew(cfg).RunWindow(tr, 6000, WarmFunctional)
+	a, err := MustNew(cfg).RunWindow(tr, 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MustNew(cfg).RunWindow(tr, 6000, WarmFunctional)
+	b, err := MustNew(cfg).RunWindow(tr, 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +184,7 @@ func TestRunWindowShardEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MustNew(cfg).RunWindow(plan[0].Trace, plan[0].Warm, WarmFunctional)
+	res, err := MustNew(cfg).RunWindow(plan[0].Trace, plan[0].Warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +217,7 @@ func TestRunWindowShardEdgeCases(t *testing.T) {
 		if err := c.Reset(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := c.RunWindow(w.Trace, w.Warm, WarmFunctional)
+		r, err := c.RunWindow(w.Trace, w.Warm)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -131,23 +131,9 @@ func (q *Queue) MayIssue() bool {
 	return occ >= q.threshold()
 }
 
-// MayIssueTwo reports whether the issue stage may consider BOTH of the two
-// oldest instructions this cycle — the dual-issue fast path's gate. The
-// second pop sees occupancy one lower, so the occupancy gate must hold at
-// occupancy-1 too, exactly as the sequential issue loop would re-check it
-// after the first pop.
-func (q *Queue) MayIssueTwo() bool {
-	occ := q.Occupancy()
-	if occ < 2 {
-		return false
-	}
-	return q.n == 0 || occ-1 >= q.threshold()
-}
-
 // MayIssueN reports whether the issue stage may consider the k oldest
-// instructions this cycle — the width-N generalization of MayIssueTwo
-// (MayIssueN(2) is exactly MayIssueTwo, and MayIssueN(1) is MayIssue). The
-// j-th pop sees occupancy j lower, so the occupancy gate must hold at
+// instructions this cycle — the wide issue stage's gate (MayIssueN(1) is
+// exactly MayIssue). The j-th pop sees occupancy j lower, so the occupancy gate must hold at
 // occupancy-(k-1) too, exactly as the sequential issue loop would re-check
 // it after each pop.
 func (q *Queue) MayIssueN(k int) bool {

@@ -269,14 +269,10 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestMayIssueTwoMatchesSequentialGate holds the dual-issue gate to its
-// definition: MayIssueTwo is true exactly when MayIssue holds now AND would
-// still hold after one pop (the sequential issue loop's re-check for the
-// second slot).
 // TestMayIssueNMatchesSequentialGate holds the width-N gate to its
 // definition: MayIssueN(k) allows k pops exactly when a sequential loop
 // re-checking MayIssue after every pop would. MayIssueN(1) must agree with
-// MayIssue and MayIssueN(2) with MayIssueTwo.
+// MayIssue.
 func TestMayIssueNMatchesSequentialGate(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3} {
 		for k := 1; k <= 5; k++ {
@@ -299,32 +295,8 @@ func TestMayIssueNMatchesSequentialGate(t *testing.T) {
 				if k == 1 && got != q.MayIssue() {
 					t.Fatalf("N=%d occ=%d: MayIssueN(1) = %v disagrees with MayIssue", n, occ, got)
 				}
-				if k == 2 && got != q.MayIssueTwo() {
-					t.Fatalf("N=%d occ=%d: MayIssueN(2) = %v disagrees with MayIssueTwo", n, occ, got)
-				}
 				q.Alloc(int64(occ), uint64(occ))
 			}
-		}
-	}
-}
-
-func TestMayIssueTwoMatchesSequentialGate(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3} {
-		q := New(Config{Size: 16, ICI: 2, AI: 2})
-		q.SetStabilizeCycles(n)
-		for occ := 0; occ <= 16; occ++ {
-			got := q.MayIssueTwo()
-			want := false
-			if q.MayIssue() && q.Occupancy() >= 1 {
-				// Simulate the first pop on a copy of the pointers.
-				probe := *q
-				probe.PopOldest()
-				want = probe.MayIssue()
-			}
-			if got != want {
-				t.Fatalf("N=%d occ=%d: MayIssueTwo = %v, sequential gate says %v", n, occ, got, want)
-			}
-			q.Alloc(int64(occ), uint64(occ))
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package journal persists completed sweep-cell results on disk so an
 // interrupted sweep campaign can resume without re-simulating finished
 // work. It is the durability half of the sim runner's resilience layer
-// (sim.Runner.WithJournal) and the content-addressed result cache the
+// (sim.Runner.JournalDir) and the content-addressed result cache the
 // ROADMAP's sweep-service item calls for.
 //
 // # Keying

@@ -7,6 +7,31 @@ import (
 	"lowvcc/internal/rng"
 )
 
+// randReg returns a random register, RegNone one time in four.
+func randReg(src *rng.Source) isa.Reg {
+	if src.Intn(4) == 0 {
+		return isa.RegNone
+	}
+	return isa.Reg(src.Intn(isa.NumRegs))
+}
+
+// TestIssueReadyMatchesSingleProbes holds the fused probe to its
+// definition: IssueReady(s1, s2, d) == ReadReady(s1) && ReadReady(s2) &&
+// WriteReady(d), across randomized scoreboard states.
+func TestIssueReadyMatchesSingleProbes(t *testing.T) {
+	sb := New(DefaultConfig())
+	src := rng.New(0x5B0A)
+	for i := 0; i < 40000; i++ {
+		mutateScoreboard(sb, src)
+		s1, s2, d := randReg(src), randReg(src), randReg(src)
+		want := sb.ReadReady(s1) && sb.ReadReady(s2) && sb.WriteReady(d)
+		if got := sb.IssueReady(s1, s2, d); got != want {
+			t.Fatalf("op %d: IssueReady(%v,%v,%v) = %v, singles say %v (now=%d)",
+				i, s1, s2, d, got, want, sb.Now())
+		}
+	}
+}
+
 // TestIssueReadySetMatchesSequentialProbes fuzzes the batched ready-set
 // probe against its contract: bit i equals a one-slot IssueReady probe of
 // slot i taken *after* the issues of every granted older slot are applied,
@@ -31,23 +56,6 @@ func TestIssueReadySetMatchesSequentialProbes(t *testing.T) {
 		}
 		mask := sb.IssueReadySet(ops[:n])
 
-		// The two-slot probe is the n=2 special case; hold them together.
-		if n >= 2 {
-			okA, okB := sb.IssueReadyPair(
-				ops[0].S1, ops[0].S2, ops[0].D, ops[0].Prod,
-				ops[1].S1, ops[1].S2, ops[1].D)
-			pair := uint32(0)
-			if okA {
-				pair |= 1
-			}
-			if okB {
-				pair |= 2
-			}
-			if mask&3 != pair {
-				t.Fatalf("op %d: set mask %02b disagrees with pair probe %02b", i, mask&3, pair)
-			}
-		}
-
 		for j := 0; j < n; j++ {
 			op := ops[j]
 			want := sb.IssueReady(op.S1, op.S2, op.D)
@@ -65,5 +73,30 @@ func TestIssueReadySetMatchesSequentialProbes(t *testing.T) {
 				sb.IssueProducer(op.Prod, 1+src.Intn(sb.MaxShortLatency()))
 			}
 		}
+	}
+}
+
+// mutateScoreboard applies a random state transition: shifts, bulk
+// advances, producers (short and long), completions, flushes and bubble
+// reconfigurations.
+func mutateScoreboard(sb *Scoreboard, src *rng.Source) {
+	switch src.Intn(10) {
+	case 0:
+		sb.SetStabilizeCycles(src.Intn(sb.MaxN() + 1))
+	case 1:
+		sb.Flush()
+	case 2:
+		sb.AdvanceTo(sb.Now() + int64(src.Intn(20)))
+	case 3, 4:
+		r := isa.Reg(src.Intn(isa.NumRegs))
+		if sb.LongPending(r) {
+			sb.CompleteLongLatency(r, 1+src.Intn(sb.MaxShortLatency()))
+		} else if src.Intn(2) == 0 {
+			sb.BeginLongLatency(r)
+		} else {
+			sb.IssueProducer(r, 1+src.Intn(sb.MaxShortLatency()))
+		}
+	default:
+		sb.Shift()
 	}
 }

@@ -72,8 +72,8 @@ func localReferenceJournal(t *testing.T, spec sim.SweepSpec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := spec.NewRunner().WithJournal(dir)
-	r.Workers = 2
+	r := spec.NewRunner()
+	r.JournalDir, r.Workers = dir, 2
 	if _, err := r.Sweep(context.Background(), spec.Traces(), modes, spec.Levels()); err != nil {
 		t.Fatal(err)
 	}

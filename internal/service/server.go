@@ -148,8 +148,12 @@ func retryAfterSeconds(d time.Duration) string {
 }
 
 func (srv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Unknown fields are rejected, not ignored: a stale client's retired
+	// option must not silently run under different semantics.
 	var spec sim.SweepSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&spec); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		http.Error(w, "bad spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,9 +174,7 @@ func TestClientStreamLevels(t *testing.T) {
 		pts map[circuit.Mode]*sim.Point
 	}
 	var local []row
-	sim.SetWorkers(2)
-	defer sim.SetWorkers(0)
-	err = sim.StreamLevels(context.Background(), spec.Traces(), modes, spec.Levels(),
+	err = (&sim.Runner{Workers: 2}).StreamLevels(context.Background(), spec.Traces(), modes, spec.Levels(),
 		func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
 			if len(fails) != 0 {
 				t.Fatalf("local sweep failed at %v: %v", v, fails)
@@ -223,5 +222,40 @@ func TestClientStreamLevels(t *testing.T) {
 				t.Fatalf("level %v mode %v: daemon aggregate differs from local", local[i].v, m)
 			}
 		}
+	}
+}
+
+// TestSubmitRejectsUnknownFields: a submission carrying a field the spec
+// does not define — a stale client's retired option such as the old
+// "warm_mode" — is refused with 400 instead of silently running under
+// different semantics, and nothing is queued.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	srv, base := newTestDaemon(t, ServerOpts{Workers: -1})
+	for _, body := range []string{
+		`{"insts_per_trace":2000,"seeds_per_profile":1,"modes":["iraw"],"levels_mv":[500],"warm_mode":"timed"}`,
+		`{"insts_per_trace":2000,"seeds_per_profile":1,"modes":["iraw"],"bogus":1}`,
+	} {
+		resp, err := http.Post(base+"/api/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if n := srv.Scheduler().Queued(); n != 0 {
+		t.Errorf("rejected submissions queued %d cells", n)
+	}
+
+	// The same spec without the unknown field is accepted.
+	ok := `{"insts_per_trace":2000,"seeds_per_profile":1,"modes":["iraw"],"levels_mv":[500]}`
+	resp, err := http.Post(base+"/api/v1/sweeps", "application/json", strings.NewReader(ok))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		t.Errorf("valid submit: status %d, want 2xx", resp.StatusCode)
 	}
 }

@@ -13,12 +13,10 @@ import (
 )
 
 // TestFunctionalWarmShardingBias is the sharding acceptance test: on the
-// production-style long trace, sample windows warmed with the default
-// functional replay — now full-history (warm=-1) via the checkpoint-backed
-// default — must land within 1% of the unsharded cold pass they
-// approximate — versus the tens-of-percent pessimistic bias of the timed
-// warm-up at its default prefix — and the improvement must not cost
-// bitwise determinism.
+// production-style long trace, sample windows warmed with functional replay
+// — full-history (warm=-1) via the checkpoint-backed default — must land
+// within 1% of the unsharded whole pass they approximate, and the stitch
+// must be bitwise deterministic across repeats and worker counts.
 func TestFunctionalWarmShardingBias(t *testing.T) {
 	// The production-scale trace BenchmarkShardedLongTrace records: bias is
 	// a property of warm-history length against the suite's working sets,
@@ -31,11 +29,8 @@ func TestFunctionalWarmShardingBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bias := func(r *core.Result) float64 {
-		return 100 * (r.IPC() - cold.IPC()) / cold.IPC()
-	}
-	run := func(mode core.WarmMode) *core.Result {
-		r := (&Runner{Workers: 4}).WithWindow(len(tr.Insts)/8, 0).WithWarmMode(mode)
+	run := func(workers int) *core.Result {
+		r := &Runner{Workers: workers, WindowInsts: len(tr.Insts) / 8}
 		per, _, err := r.RunPoint(ctx, cfg, []*trace.Trace{tr})
 		if err != nil {
 			t.Fatal(err)
@@ -43,38 +38,17 @@ func TestFunctionalWarmShardingBias(t *testing.T) {
 		return per[0]
 	}
 
-	fun := run(core.WarmFunctional)
+	fun := run(4)
 	if fun.Run.Instructions != uint64(len(tr.Insts)) {
 		t.Fatalf("stitch measured %d instructions, want %d", fun.Run.Instructions, len(tr.Insts))
 	}
-	fb := bias(fun)
-	if math.Abs(fb) > 1 {
-		t.Errorf("functional-warm sharding bias %+.2f%% exceeds the 1%% golden tolerance", fb)
+	if b := 100 * (fun.IPC() - cold.IPC()) / cold.IPC(); math.Abs(b) > 1 {
+		t.Errorf("functional-warm sharding bias %+.2f%% exceeds the 1%% golden tolerance", b)
 	}
-
-	tim := run(core.WarmTimed)
-	tb := bias(tim)
-	if math.Abs(tb) <= math.Abs(fb) {
-		t.Errorf("timed-warm bias %+.2f%% not worse than functional %+.2f%% — the replay buys nothing", tb, fb)
-	}
-	// The motivating gap: the timed default prefix leaves a cold-start
-	// penalty an order of magnitude above the functional replay's residual.
-	if math.Abs(tb) < 8 {
-		t.Logf("note: timed-warm bias %+.2f%% is smaller than the documented tens of percent", tb)
-	}
-
-	// Determinism: the functional-warm stitch is worker- and repeat-
-	// invariant.
-	again := run(core.WarmFunctional)
-	if !reflect.DeepEqual(fun, again) {
+	if again := run(4); !reflect.DeepEqual(fun, again) {
 		t.Error("functional-warm sharded run is not deterministic")
 	}
-	r1 := (&Runner{Workers: 1}).WithWindow(len(tr.Insts)/8, 0)
-	per, _, err := r1.RunPoint(ctx, cfg, []*trace.Trace{tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fun, per[0]) {
+	if one := run(1); !reflect.DeepEqual(fun, one) {
 		t.Error("functional-warm sharded run depends on worker count")
 	}
 }

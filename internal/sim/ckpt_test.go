@@ -13,26 +13,23 @@ import (
 )
 
 // TestPlanFor: the effective windowing plan is the documented pure function
-// of (WindowInsts, WarmInsts, WarmMode, trace length).
+// of (WindowInsts, WarmInsts, trace length).
 func TestPlanFor(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		win, warm         int
-		mode              core.WarmMode
 		n                 int
 		wantWin, wantWarm int
 	}{
-		{"opt-out", -1, 0, core.WarmFunctional, 1_000_000, 0, 0},
-		{"auto short trace", 0, 0, core.WarmFunctional, autoWindowThreshold - 1, 0, 0},
-		{"auto long trace", 0, 0, core.WarmFunctional, 700_000, 87_500, -1},
-		{"auto exact threshold", 0, 0, core.WarmFunctional, autoWindowThreshold, 25_000, -1},
-		{"explicit window functional", 10_000, 0, core.WarmFunctional, 700_000, 10_000, -1},
-		{"explicit window timed", 10_000, 0, core.WarmTimed, 700_000, 10_000, 2_500},
-		{"explicit warm", 10_000, 3_000, core.WarmFunctional, 700_000, 10_000, 3_000},
-		{"full-history spelled out", 10_000, -1, core.WarmTimed, 700_000, 10_000, -1},
-		{"auto long trace timed", 0, 0, core.WarmTimed, 700_000, 87_500, 21_875},
+		{"opt-out", -1, 0, 1_000_000, 0, 0},
+		{"auto short trace", 0, 0, autoWindowThreshold - 1, 0, 0},
+		{"auto long trace", 0, 0, 700_000, 87_500, -1},
+		{"auto exact threshold", 0, 0, autoWindowThreshold, 25_000, -1},
+		{"explicit window", 10_000, 0, 700_000, 10_000, -1},
+		{"explicit warm", 10_000, 3_000, 700_000, 10_000, 3_000},
+		{"full-history spelled out", 10_000, -1, 700_000, 10_000, -1},
 	} {
-		r := (&Runner{}).WithWindow(tc.win, tc.warm).WithWarmMode(tc.mode)
+		r := &Runner{WindowInsts: tc.win, WarmInsts: tc.warm}
 		win, warm := r.planFor(tc.n)
 		if win != tc.wantWin || warm != tc.wantWarm {
 			t.Errorf("%s: planFor(%d) = (%d, %d), want (%d, %d)",
@@ -49,8 +46,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
 	ctx := context.Background()
 
-	ref, _, err := (&Runner{Workers: 2}).WithWindow(15_000, 0).
-		WithDisableCheckpoints(true).
+	ref, _, err := (&Runner{Workers: 2, WindowInsts: 15_000, DisableCheckpoints: true}).
 		RunCell(ctx, "ref", cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +57,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		res, _, err := (&Runner{Workers: 2}).WithWindow(15_000, 0).
-			WithCheckpointStore(st).
+		res, _, err := (&Runner{Workers: 2, WindowInsts: 15_000, CkptStore: st}).
 			RunCell(ctx, "ckpt", cfg, tr)
 		if err != nil {
 			t.Fatal(err)
@@ -83,8 +78,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 	// restores the very same snapshots instead of capturing new ones.
 	before := st.Stats().Captures
 	cfg2 := core.DefaultConfig(650, circuit.ModeBaseline)
-	if _, _, err := (&Runner{Workers: 2}).WithWindow(15_000, 0).
-		WithCheckpointStore(st).
+	if _, _, err := (&Runner{Workers: 2, WindowInsts: 15_000, CkptStore: st}).
 		RunCell(ctx, "ckpt-650", cfg2, tr); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +114,7 @@ func TestAutoWindowing(t *testing.T) {
 	if got := windowsOf(&Runner{}, long); got != autoWindowCount {
 		t.Errorf("auto windows on a long trace = %d, want %d", got, autoWindowCount)
 	}
-	if got := windowsOf((&Runner{}).WithWindow(-1, 0), long); got != 1 {
+	if got := windowsOf(&Runner{WindowInsts: -1}, long); got != 1 {
 		t.Errorf("windows with explicit opt-out = %d, want 1", got)
 	}
 	short := workload.Suite(20_000, 1)[0]

@@ -1,7 +1,7 @@
 package sim
 
 // Fault injection for the resilience layer — test and development only.
-// A FaultPlan attached via Runner.WithFaults deterministically injects
+// A FaultPlan attached via Runner.Faults deterministically injects
 // failures at the two places the layer must defend: window execution
 // (panics, permanent and transient errors, artificial slowness, process
 // death) and journal writes (torn/truncated entries). Rules match by cell

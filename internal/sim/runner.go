@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lowvcc/internal/ckpt"
 	"lowvcc/internal/circuit"
+	"lowvcc/internal/ckpt"
 	"lowvcc/internal/core"
 )
 
@@ -65,20 +65,11 @@ type Runner struct {
 	WindowInsts int
 
 	// WarmInsts is the per-window warm-up prefix length: positive values
-	// are explicit, negative values select the window's entire prefix
-	// (full-history warm-up), and 0 selects the warm-mode default — the
-	// full prefix for functional warm-up, whose checkpointed replay makes
-	// whole-history warming affordable (see Checkpoints), and a quarter
-	// window for timed warm-up, where every warm instruction costs a
-	// simulated one.
+	// are explicit, and 0 or negative values select the window's entire
+	// prefix (full-history warm-up). Warm-up is functional replay
+	// (core.RunWindow), and checkpointed replay makes whole-history warming
+	// affordable (see Checkpoints).
 	WarmInsts int
-
-	// WarmMode selects how each window's warm-up prefix executes:
-	// core.WarmFunctional (the zero value and default) replays it
-	// timing-free; core.WarmTimed simulates it on the timed engine (the
-	// pre-functional behaviour, kept for equivalence testing and
-	// benchmarking).
-	WarmMode core.WarmMode
 
 	// Retries bounds how many times a transiently-failed window (timeout,
 	// preemption — anything IsTransient reports retryable) re-executes
@@ -155,117 +146,6 @@ type Runner struct {
 	ckptMemo *ckpt.Store
 }
 
-// WithWidth sets the fetch/issue width of runner-built core
-// configurations (0 = the modelled default; see Width) and returns r for
-// chaining.
-func (r *Runner) WithWidth(w int) *Runner {
-	r.Width = w
-	return r
-}
-
-// WithPointTimeout sets the per-cell wall-clock budget and returns r for
-// chaining.
-func (r *Runner) WithPointTimeout(d time.Duration) *Runner {
-	r.PointTimeout = d
-	return r
-}
-
-// WithProgress sets the per-cell completion callback and returns r for
-// chaining.
-func (r *Runner) WithProgress(f func(PointUpdate)) *Runner {
-	r.Progress = f
-	return r
-}
-
-// WithWindow configures sharded long-trace execution (windowInsts measured
-// instructions per sample window — 0 for automatic windowing, negative to
-// disable sharding; warmInsts of warm-up prefix — 0 for the warm-mode
-// default, negative the full prefix; see WindowInsts and WarmInsts) and
-// returns r for chaining.
-func (r *Runner) WithWindow(windowInsts, warmInsts int) *Runner {
-	r.WindowInsts = windowInsts
-	r.WarmInsts = warmInsts
-	return r
-}
-
-// WithWarmMode selects the warm-up execution mode for sample windows and
-// returns r for chaining.
-func (r *Runner) WithWarmMode(m core.WarmMode) *Runner {
-	r.WarmMode = m
-	return r
-}
-
-// WithRetry sets the transient-failure retry policy (n retries, backoff
-// before the first one, doubling) and returns r for chaining.
-func (r *Runner) WithRetry(n int, backoff time.Duration) *Runner {
-	r.Retries = n
-	r.RetryBackoff = backoff
-	return r
-}
-
-// WithJournal enables the on-disk result journal rooted at dir (""
-// disables it) and returns r for chaining.
-func (r *Runner) WithJournal(dir string) *Runner {
-	r.JournalDir = dir
-	return r
-}
-
-// WithJournalSync selects fsync-on-Put for the journal and returns r for
-// chaining.
-func (r *Runner) WithJournalSync(on bool) *Runner {
-	r.JournalSync = on
-	return r
-}
-
-// WithJournalBudget caps the journal directory at budget bytes (0 =
-// unbounded) and returns r for chaining.
-func (r *Runner) WithJournalBudget(budget int64) *Runner {
-	r.JournalBudget = budget
-	return r
-}
-
-// WithCheckpointBudget caps the on-disk checkpoint store at budget bytes
-// (0 = unbounded) and returns r for chaining.
-func (r *Runner) WithCheckpointBudget(budget int64) *Runner {
-	r.CkptBudget = budget
-	return r
-}
-
-// WithAllowPartial selects partial-failure mode and returns r for
-// chaining.
-func (r *Runner) WithAllowPartial(allow bool) *Runner {
-	r.AllowPartial = allow
-	return r
-}
-
-// WithFaults attaches a fault-injection plan (tests only) and returns r
-// for chaining.
-func (r *Runner) WithFaults(p *FaultPlan) *Runner {
-	r.Faults = p
-	return r
-}
-
-// WithCheckpointStore attaches an explicit warm-state checkpoint store and
-// returns r for chaining.
-func (r *Runner) WithCheckpointStore(s *ckpt.Store) *Runner {
-	r.CkptStore = s
-	return r
-}
-
-// WithCheckpointDir roots the warm-state checkpoint store at dir (see
-// CkptDir for the resolution order) and returns r for chaining.
-func (r *Runner) WithCheckpointDir(dir string) *Runner {
-	r.CkptDir = dir
-	return r
-}
-
-// WithDisableCheckpoints selects the live-replay reference warm path and
-// returns r for chaining.
-func (r *Runner) WithDisableCheckpoints(disable bool) *Runner {
-	r.DisableCheckpoints = disable
-	return r
-}
-
 // pointConfig builds the core configuration for one operating point under
 // the runner's width: the modelled default config at Width 0 (bit-identical
 // journal keys to width-oblivious runners), core.DefaultConfigWidth
@@ -291,7 +171,7 @@ const (
 )
 
 // planFor resolves the effective (window, warm) plan for a trace of n
-// instructions — the pure function of (WindowInsts, WarmInsts, WarmMode, n)
+// instructions — the pure function of (WindowInsts, WarmInsts, n)
 // that the shard plan, the journal keys and the checkpoint boundaries are
 // all defined by. A zero window result means the trace runs unsharded.
 func (r *Runner) planFor(n int) (win, warm int) {
@@ -307,11 +187,7 @@ func (r *Runner) planFor(n int) (win, warm int) {
 	}
 	warm = r.WarmInsts
 	if warm == 0 {
-		if r.WarmMode == core.WarmFunctional {
-			warm = -1 // full history: checkpoints make it near-free
-		} else {
-			warm = win / 4
-		}
+		warm = -1 // full history: checkpoints make it near-free
 	}
 	return win, warm
 }
@@ -323,11 +199,10 @@ func (r *Runner) planFor(n int) (win, warm int) {
 var sharedCkpt, _ = ckpt.Open("")
 
 // checkpoints resolves the runner's warm-state checkpoint store; nil means
-// checkpoints are off (disabled explicitly, or moot because the warm mode
-// is timed). The CkptDir/JournalDir resolution is memoized: the store must
-// be opened once so its in-memory half actually accumulates.
+// checkpoints are disabled. The CkptDir/JournalDir resolution is memoized:
+// the store must be opened once so its in-memory half actually accumulates.
 func (r *Runner) checkpoints() *ckpt.Store {
-	if r.DisableCheckpoints || r.WarmMode != core.WarmFunctional {
+	if r.DisableCheckpoints {
 		return nil
 	}
 	if r.CkptStore != nil {

@@ -42,9 +42,11 @@
 //     run loop (Core.SetStopCheck), so the stream drains promptly even
 //     mid-simulation;
 //   - the package-level experiment functions (Sweep, RunPoint, the figure
-//     and ablation generators) run on a shared default Runner sized to
-//     GOMAXPROCS; construct a Runner directly for custom worker counts,
-//     windowing, timeouts or context cancellation.
+//     and ablation generators) run on a shared default Runner (Default),
+//     sized to GOMAXPROCS unless configured. Runner options are plain
+//     exported fields: commands bind them to flags once at startup with
+//     Runner.RegisterFlags, and library callers and tests build their own
+//     Runner as a struct literal — never by mutating the default.
 //
 // # Sharding determinism rules
 //
@@ -53,13 +55,14 @@
 // autoWindowThreshold instructions; negative opts out) — long traces
 // execute as deterministic sample windows instead of two full passes:
 // trace.Shard cuts the trace into fixed measured spans, each prefixed by a
-// warm-up interval that executes unmeasured on a fresh core
-// (core.RunWindow), and core.MergeWindowResults stitches the per-window
-// results in window order. The rules that keep this deterministic:
+// warm-up interval that is functionally replayed, unmeasured, on a fresh
+// core (core.RunWindow), and core.MergeWindowResults stitches the
+// per-window results in window order. The rules that keep this
+// deterministic:
 //
 //   - the shard plan is a pure function of (trace length, WindowInsts,
-//     WarmInsts, WarmMode) via Runner.planFor — never of worker count,
-//     scheduling or wall clock;
+//     WarmInsts) via Runner.planFor — never of worker count, scheduling or
+//     wall clock;
 //   - each window simulates a fixed instruction span on a Reset core, so a
 //     window's Result depends only on (config, trace bytes, plan);
 //   - stitching always happens in window order, triggered by whichever
@@ -70,22 +73,12 @@
 //     the pre-streaming batch engine.
 //
 // Sharded numbers are a sample-window *approximation* of one production
-// pass over the long trace: each window sees only its warm-up prefix of
-// history, and the approximation is deterministic and worker-invariant for
-// a fixed configuration but not bitwise equal to the unsharded run. How
-// close it lands depends on the warm mode (Runner.WarmMode):
-//
-//   - core.WarmFunctional (the default) replays each window's prefix
-//     timing-free (core.WarmReplay), so the default prefix is the window's
-//     entire history and the stitched numbers land within a fraction of a
-//     percent of the whole-pass run (golden-tested on workload.LongTrace,
-//     and gated in scripts/bench_check.sh);
-//   - core.WarmTimed simulates the prefix on the timed engine — every warm
-//     instruction costs a measured one, so affordable prefixes are short
-//     (a quarter window by default) and the stitched IPC is
-//     deterministically pessimistic by up to tens of percent (cross-window
-//     cache reuse re-paid as cold-start misses), converging as windows
-//     grow (golden-tested with a 15% tolerance at window = len/2).
+// pass over the long trace, deterministic and worker-invariant for a fixed
+// configuration but not bitwise equal to the unsharded run. Each window's
+// prefix is replayed timing-free (core.WarmReplay), so the default prefix
+// is the window's entire history and the stitched numbers land within a
+// fraction of a percent of the whole-pass run (golden-tested on
+// workload.LongTrace, and gated in scripts/bench_check.sh).
 //
 // Full-history warm-up is affordable because of the warm-state checkpoint
 // store (internal/ckpt): each window's warm prefix restores the deepest
@@ -95,9 +88,8 @@
 // operating point, worker and — through a shared journal directory —
 // worker process of a sweep. Checkpointing moves work, never numbers: the
 // live-replay reference path (Runner.DisableCheckpoints, -ckpt off) is
-// bit-identical, enforced by an equivalence fuzz. Warm=0 windows and
-// window >= len(trace) stay bit-identical to the unsharded engine in both
-// modes.
+// bit-identical, enforced by an equivalence fuzz. A window with an empty
+// warm prefix measures exactly as core.Run would.
 //
 // # Failure semantics
 //
@@ -146,8 +138,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
@@ -182,91 +172,20 @@ func (s SuiteSpec) Traces() []*trace.Trace {
 // it is free; its determinism guarantee makes the sharing invisible.
 var defaultRunner = &Runner{}
 
+// Default returns the runner behind the package-level experiment
+// functions, so a command can configure it once at startup — typically by
+// binding its flags with RegisterFlags — before running any experiment.
+// Its fields are not synchronized against experiments already running.
+func Default() *Runner { return defaultRunner }
+
 // SetWorkers bounds the default runner's pool to n goroutines; n <= 0
-// restores GOMAXPROCS sizing. Call it at startup (the cmd tools' -workers
-// flag does); it is not synchronized against experiments already running.
+// restores GOMAXPROCS sizing. Startup-time only, like any change to
+// Default().
 func SetWorkers(n int) { defaultRunner.Workers = n }
 
-// SetWidth sets the fetch/issue width of every core configuration the
-// default runner builds (the cmd tools' -width flag); 0 restores the
-// modelled default width. Startup-time only, like SetWorkers.
-func SetWidth(w int) { defaultRunner.WithWidth(w) }
-
 // SetProgress installs a per-cell completion callback on the default
-// runner (the cmd tools' -progress flag); nil removes it. Startup-time
-// only, like SetWorkers.
+// runner; nil removes it. Startup-time only, like SetWorkers.
 func SetProgress(f func(PointUpdate)) { defaultRunner.Progress = f }
-
-// SetPointTimeout bounds each cell's wall clock on the default runner;
-// 0 disables the guard. Startup-time only, like SetWorkers.
-func SetPointTimeout(d time.Duration) { defaultRunner.PointTimeout = d }
-
-// SetWindow configures sharded long-trace execution on the default runner
-// (the cmd tools' -window/-warm flags); windowInsts 0 selects automatic
-// windowing of long traces and negative values disable sharding, while
-// warmInsts 0 selects the warm-mode default (the full prefix for
-// functional warm-up, a quarter window for timed), negative the full
-// prefix. Startup-time only, like SetWorkers.
-func SetWindow(windowInsts, warmInsts int) { defaultRunner.WithWindow(windowInsts, warmInsts) }
-
-// SetCheckpoints configures the default runner's warm-state checkpoint
-// store (the cmd tools' -ckpt flag): "" or "auto" keeps the default
-// resolution (JournalDir/ckpt when journaling is on, else a shared
-// in-memory store), "off" selects the live-replay reference path, and any
-// other value roots an on-disk store at that directory. Startup-time only,
-// like SetWorkers.
-func SetCheckpoints(spec string) {
-	switch spec {
-	case "off":
-		defaultRunner.DisableCheckpoints = true
-	case "", "auto":
-		defaultRunner.DisableCheckpoints = false
-		defaultRunner.CkptDir = ""
-	default:
-		defaultRunner.DisableCheckpoints = false
-		defaultRunner.CkptDir = spec
-	}
-}
-
-// SetWarmMode selects the default runner's sample-window warm-up mode (the
-// cmd tools' -warmmode flag). Startup-time only, like SetWorkers.
-func SetWarmMode(m core.WarmMode) { defaultRunner.WithWarmMode(m) }
-
-// SetJournal roots the default runner's on-disk result journal at dir (the
-// cmd tools' -journal flag); "" disables it. Startup-time only, like
-// SetWorkers.
-func SetJournal(dir string) { defaultRunner.WithJournal(dir) }
-
-// SetJournalBudget caps the default runner's journal directory at budget
-// bytes with LRU eviction (the cmd tools' -journal-budget flag); 0 means
-// unbounded. Startup-time only, like SetWorkers.
-func SetJournalBudget(budget int64) { defaultRunner.WithJournalBudget(budget) }
-
-// SetCheckpointBudget caps the default runner's on-disk checkpoint store
-// at budget bytes with LRU snapshot eviction (the cmd tools'
-// -ckpt-budget flag); 0 means unbounded. Startup-time only, like
-// SetWorkers.
-func SetCheckpointBudget(budget int64) { defaultRunner.WithCheckpointBudget(budget) }
-
-// SetRetries sets the default runner's transient-failure retry policy (the
-// cmd tools' -retries flag). Startup-time only, like SetWorkers.
-func SetRetries(n int, backoff time.Duration) { defaultRunner.WithRetry(n, backoff) }
-
-// SetAllowPartial selects partial-failure mode on the default runner (the
-// cmd tools' -allow-partial flag). Startup-time only, like SetWorkers.
-func SetAllowPartial(allow bool) { defaultRunner.WithAllowPartial(allow) }
-
-// ParseWarmMode maps the -warmmode flag spellings to a core.WarmMode.
-func ParseWarmMode(s string) (core.WarmMode, error) {
-	switch s {
-	case "functional", "":
-		return core.WarmFunctional, nil
-	case "timed":
-		return core.WarmTimed, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown warm mode %q (want functional or timed)", s)
-	}
-}
 
 // RunPoint simulates every trace at one operating point (warm measurement)
 // and returns the per-trace results plus their aggregate. Traces fan out

@@ -31,13 +31,12 @@ type SweepSpec struct {
 	// LevelsMV lists the voltage levels in sweep order; empty selects the
 	// full supported range (circuit.Levels()).
 	LevelsMV []int `json:"levels_mv,omitempty"`
-	// WindowInsts, WarmInsts and WarmMode mirror the Runner fields of the
-	// same names (0 window = automatic windowing of long traces, negative
-	// = sharding off); they are part of every cell's journal key via the
-	// per-trace resolved plan.
-	WindowInsts int    `json:"window_insts,omitempty"`
-	WarmInsts   int    `json:"warm_insts,omitempty"`
-	WarmMode    string `json:"warm_mode,omitempty"` // "functional" (default) or "timed"
+	// WindowInsts and WarmInsts mirror the Runner fields of the same names
+	// (0 window = automatic windowing of long traces, negative = sharding
+	// off); they are part of every cell's journal key via the per-trace
+	// resolved plan.
+	WindowInsts int `json:"window_insts,omitempty"`
+	WarmInsts   int `json:"warm_insts,omitempty"`
 	// Width mirrors Runner.Width: the fetch/issue width of every core
 	// configuration in the sweep grid, 0 for the modelled default. It is
 	// part of the full core configuration and therefore of every cell's
@@ -71,9 +70,6 @@ func (s SweepSpec) Validate() error {
 		if v < circuit.VMin || v > circuit.VMax {
 			return fmt.Errorf("sim: spec: level %dmV outside supported range [%v, %v]", mv, circuit.VMin, circuit.VMax)
 		}
-	}
-	if _, err := ParseWarmMode(s.WarmMode); err != nil {
-		return err
 	}
 	if s.Width != 0 && (s.Width < 1 || s.Width > core.MaxWidth) {
 		return fmt.Errorf("sim: spec: width %d out of range [1, %d] (0 = default)", s.Width, core.MaxWidth)
@@ -145,11 +141,9 @@ func (s SweepSpec) Traces() []*trace.Trace {
 
 // NewRunner builds a Runner carrying the spec's windowing plan and core
 // width — the configuration under which every cell's journal key is
-// defined. Call Validate first: an unparseable warm mode falls back to
-// functional here.
+// defined.
 func (s SweepSpec) NewRunner() *Runner {
-	wm, _ := ParseWarmMode(s.WarmMode)
-	return (&Runner{}).WithWindow(s.WindowInsts, s.WarmInsts).WithWarmMode(wm).WithWidth(s.Width)
+	return &Runner{WindowInsts: s.WindowInsts, WarmInsts: s.WarmInsts, Width: s.Width}
 }
 
 // PointConfig builds the core configuration of one of the spec's cells —

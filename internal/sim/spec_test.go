@@ -20,7 +20,7 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 		LevelsMV:        []int{500, 400},
 		WindowInsts:     1000,
 		WarmInsts:       -1,
-		WarmMode:        "timed",
+		Width:           4,
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.InstsPerTrace != spec.InstsPerTrace || got.WarmInsts != spec.WarmInsts ||
-		got.WarmMode != spec.WarmMode || len(got.Modes) != 2 || len(got.LevelsMV) != 2 {
+		got.Width != spec.Width || len(got.Modes) != 2 || len(got.LevelsMV) != 2 {
 		t.Fatalf("round trip mangled the spec: %+v", got)
 	}
 
@@ -50,8 +50,8 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 		t.Fatalf("Levels = %v", levels)
 	}
 	r := got.NewRunner()
-	if r.WindowInsts != 1000 || r.WarmInsts != -1 || r.WarmMode.String() != "timed" {
-		t.Fatalf("NewRunner dropped windowing: %+v", r)
+	if r.WindowInsts != 1000 || r.WarmInsts != -1 || r.Width != 4 {
+		t.Fatalf("NewRunner dropped windowing or width: %+v", r)
 	}
 }
 
@@ -75,7 +75,7 @@ func TestSweepSpecValidateRejects(t *testing.T) {
 		"unknown mode":   func(s *SweepSpec) { s.Modes = []string{"turbo"} },
 		"level too low":  func(s *SweepSpec) { s.LevelsMV = []int{300} },
 		"level too high": func(s *SweepSpec) { s.LevelsMV = []int{900} },
-		"bad warm mode":  func(s *SweepSpec) { s.WarmMode = "psychic" },
+		"bad width":      func(s *SweepSpec) { s.Width = core.MaxWidth + 1 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := good
@@ -124,7 +124,8 @@ func TestCellKeyMatchesJournal(t *testing.T) {
 	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
 
 	dir := t.TempDir()
-	r := spec.NewRunner().WithJournal(dir)
+	r := spec.NewRunner()
+	r.JournalDir = dir
 	key, err := r.CellKey(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +154,9 @@ func TestCellKeyMatchesJournal(t *testing.T) {
 	}
 
 	// Second run replays rather than re-simulating, bit-identical.
-	res2, replayed2, err := spec.NewRunner().WithJournal(dir).RunCell(t.Context(), "replay", cfg, tr)
+	r2 := spec.NewRunner()
+	r2.JournalDir = dir
+	res2, replayed2, err := r2.RunCell(t.Context(), "replay", cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

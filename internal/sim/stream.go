@@ -142,8 +142,10 @@ func (r *Runner) cfgHash(cfg core.Config) (string, error) {
 // point hash and the windowing plan resolved for its trace length.
 func (r *Runner) cellKey(th, pointKey string, n int) string {
 	win, warm := r.planFor(n)
+	// The "mode=0" suffix is the retired warm-mode axis, kept literal so
+	// journal entries written by earlier builds stay addressable.
 	return journal.Key(th, pointKey,
-		fmt.Sprintf("win=%d warm=%d mode=%d", win, warm, r.WarmMode))
+		fmt.Sprintf("win=%d warm=%d mode=0", win, warm))
 }
 
 // traceHash content-addresses a trace's full binary encoding (name and
@@ -564,10 +566,9 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, wc *workerC
 			return fmt.Errorf("%s: window %s: %w", spec.Label, win.Trace.Name, err)
 		}
 	} else {
-		// Sample window: one pass where the warm-up prefix executes
-		// unmeasured — functionally replayed or timed, per the runner's
-		// warm mode — and statistics cover only the window's span.
-		if res, err = wc.c.RunWindow(win.Trace, win.Warm, r.WarmMode); err != nil {
+		// Sample window: the warm-up prefix replays functionally,
+		// unmeasured, and statistics cover only the window's span.
+		if res, err = wc.c.RunWindow(win.Trace, win.Warm); err != nil {
 			return fmt.Errorf("%s: window %s: %w", spec.Label, win.Trace.Name, err)
 		}
 	}

@@ -38,7 +38,7 @@ func TestStreamingBatchEquivalence(t *testing.T) {
 	for _, c := range configs {
 		var ref map[circuit.Mode]map[circuit.Millivolts]*Point
 		for _, workers := range []int{1, 3, runtime.NumCPU() + 2} {
-			r := (&Runner{Workers: workers}).WithWindow(c.win, c.warm)
+			r := &Runner{Workers: workers, WindowInsts: c.win, WarmInsts: c.warm}
 			got, err := r.Sweep(context.Background(), traces, streamModes, streamLevels)
 			if err != nil {
 				t.Fatalf("win=%d warm=%d workers=%d: %v", c.win, c.warm, workers, err)
@@ -78,7 +78,7 @@ func TestShardStitchGolden(t *testing.T) {
 	}
 
 	// Single window covering the trace: the "stitch" is the whole-trace run.
-	one, oneAgg, err := (&Runner{Workers: 2}).WithWindow(1<<20, 0).RunPoint(context.Background(), cfg, []*trace.Trace{tr})
+	one, oneAgg, err := (&Runner{Workers: 2, WindowInsts: 1 << 20}).RunPoint(context.Background(), cfg, []*trace.Trace{tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestShardStitchGolden(t *testing.T) {
 	}
 
 	shard := func(win, warm int) []*core.Result {
-		s, _, err := (&Runner{Workers: 4}).WithWindow(win, warm).RunPoint(context.Background(), cfg, []*trace.Trace{tr})
+		s, _, err := (&Runner{Workers: 4, WindowInsts: win, WarmInsts: warm}).RunPoint(context.Background(), cfg, []*trace.Trace{tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestStreamCancellation(t *testing.T) {
 // with a descriptive timeout error from inside the run loop.
 func TestPointTimeout(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 60000, SeedsPerProfile: 1}.Traces()
-	r := (&Runner{Workers: 1}).WithPointTimeout(time.Nanosecond)
+	r := &Runner{Workers: 1, PointTimeout: time.Nanosecond}
 	_, _, err := r.RunPoint(context.Background(), core.DefaultConfig(500, circuit.ModeIRAW), traces)
 	if err == nil || !strings.Contains(err.Error(), "point timeout") {
 		t.Fatalf("err = %v, want a point-timeout error", err)
@@ -201,12 +201,12 @@ func TestProgressCallback(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 3000, SeedsPerProfile: 1}.Traces()
 	for _, win := range []int{0, 1000} {
 		var seen []int
-		r := (&Runner{Workers: 3}).WithWindow(win, 0).WithProgress(func(u PointUpdate) {
+		r := &Runner{Workers: 3, WindowInsts: win, Progress: func(u PointUpdate) {
 			if u.Err != nil {
 				t.Errorf("progress saw error: %v", u.Err)
 			}
 			seen = append(seen, u.Done)
-		})
+		}}
 		if _, _, err := r.RunPoint(context.Background(), core.DefaultConfig(500, circuit.ModeBaseline), traces); err != nil {
 			t.Fatal(err)
 		}
