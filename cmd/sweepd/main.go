@@ -62,7 +62,7 @@ func main() {
 	retries := flag.Int("retries", 1, "window-level transient-failure retries per cell execution")
 	retryBackoff := flag.Duration("retry-backoff", time.Second, "backoff before the first retry (doubles, jittered)")
 	journalBudget := flag.Int64("journal-budget", 0, "journal disk budget in bytes; LRU entries evict past it (0 = unbounded)")
-	ckptBudget := flag.Int64("ckpt-budget", 0, "checkpoint-store disk budget in bytes, worker mode (0 = unbounded)")
+	ckptBudget := flag.Int64("ckpt-budget", 0, "checkpoint-store disk budget in bytes of snapshot files, worker mode; LRU snapshots evict past it (0 = unbounded)")
 	submitRate := flag.Float64("submit-rate", 0, "per-client sweep submissions per second (0 = unlimited)")
 	submitBurst := flag.Int("submit-burst", 2, "per-client submission burst on top of -submit-rate")
 	maxCells := flag.Int("max-cells-per-sweep", 0, "reject any single sweep expanding past this many cells (0 = unlimited)")

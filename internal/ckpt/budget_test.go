@@ -1,9 +1,8 @@
 package ckpt_test
 
 import (
-	"os"
+	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"lowvcc/internal/circuit"
@@ -11,28 +10,20 @@ import (
 	"lowvcc/internal/core"
 )
 
-// dirShape counts the manifest and blob files in a store directory.
-func dirShape(t *testing.T, dir string) (manifests, blobs int) {
+// snapshotFiles counts the snapshot files in a store directory.
+func snapshotFiles(t *testing.T, dir string) int {
 	t.Helper()
-	ents, err := os.ReadDir(dir)
+	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range ents {
-		switch {
-		case strings.HasSuffix(e.Name(), ".ckpt"):
-			manifests++
-		case strings.HasPrefix(e.Name(), "blob-"):
-			blobs++
-		}
-	}
-	return
+	return len(files)
 }
 
 // TestBudgetEvictsSnapshotsLRU: squeezing the byte budget evicts whole
-// snapshots oldest-use first, GCs blobs whose last referencing manifest
-// went with them, and a sweep warmed through the shrunken store remains
-// result-identical to a live replay (eviction costs work, never results).
+// snapshot files oldest-use first, and a sweep warmed through the
+// shrunken store remains result-identical to a live replay (eviction costs
+// work, never results).
 func TestBudgetEvictsSnapshotsLRU(t *testing.T) {
 	tr := testTrace(t)
 	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
@@ -50,13 +41,13 @@ func TestBudgetEvictsSnapshotsLRU(t *testing.T) {
 	if err := st.WarmTo(c, th, wk, interval, tr, n); err != nil {
 		t.Fatal(err)
 	}
-	manifests, blobs := dirShape(t, dir)
-	if manifests != n/interval || blobs == 0 {
-		t.Fatalf("dir holds %d manifests / %d blobs, want %d manifests", manifests, blobs, n/interval)
+	files := snapshotFiles(t, dir)
+	if files != n/interval {
+		t.Fatalf("dir holds %d snapshot files, want %d", files, n/interval)
 	}
 	full := st.DiskUsage()
 	if full <= 0 {
-		t.Fatalf("DiskUsage = %d after %d snapshots", full, manifests)
+		t.Fatalf("DiskUsage = %d after %d snapshots", full, files)
 	}
 
 	// Squeeze: force at least one eviction. The shallowest boundary is the
@@ -103,53 +94,9 @@ func TestBudgetEvictsSnapshotsLRU(t *testing.T) {
 	}
 }
 
-// TestBudgetBlobRefcount: a blob shared by several manifests survives
-// until its last referencing manifest is evicted; evicting everything
-// leaves an empty directory (no orphan blobs).
-func TestBudgetBlobRefcount(t *testing.T) {
-	tr := testTrace(t)
-	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
-	dir := t.TempDir()
-	st, err := ckpt.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.SetBudget(1 << 40)
-	// Two boundaries one instruction apart share most component blobs
-	// (TestBlobDedup's arrangement).
-	c := core.MustNew(cfg)
-	if err := st.WarmTo(c, "t", "w", 1, tr, 2); err != nil {
-		t.Fatal(err)
-	}
-	if m, _ := dirShape(t, dir); m != 2 {
-		t.Fatalf("manifests = %d, want 2", m)
-	}
-	full := st.DiskUsage()
-
-	// Evict exactly one snapshot: shared blobs must survive, and the
-	// surviving snapshot must still load from a fresh store handle.
-	st.SetBudget(full - 1)
-	if m, b := dirShape(t, dir); m != 1 || b == 0 {
-		t.Fatalf("after one eviction: %d manifests / %d blobs", m, b)
-	}
-	st2, err := ckpt.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st2.Get(ckpt.SnapshotKey("t", "w", 2)); !ok {
-		t.Error("surviving snapshot unloadable after shared-blob eviction")
-	}
-
-	// Evict everything: manifests and blobs all GC'd.
-	st.SetBudget(1)
-	if m, b := dirShape(t, dir); m != 0 || b != 0 {
-		t.Errorf("after full eviction: %d manifests / %d blobs, want 0/0", m, b)
-	}
-}
-
 // TestBudgetSeedsFromDisk: SetBudget on a store opened over an existing
-// directory reconstructs sizes, refcounts and mtime-ordered recency from
-// the files themselves.
+// directory reconstructs sizes and mtime-ordered recency from the files
+// themselves.
 func TestBudgetSeedsFromDisk(t *testing.T) {
 	tr := testTrace(t)
 	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
@@ -175,7 +122,7 @@ func TestBudgetSeedsFromDisk(t *testing.T) {
 	if s := reopened.Stats(); s.Evictions == 0 {
 		t.Error("no eviction after seeding from disk")
 	}
-	if m, _ := dirShape(t, dir); m >= 3 {
-		t.Errorf("manifests = %d, want < 3 after eviction", m)
+	if m := snapshotFiles(t, dir); m >= 3 {
+		t.Errorf("snapshot files = %d, want < 3 after eviction", m)
 	}
 }

@@ -22,35 +22,42 @@
 // # Storage
 //
 // Snapshots live in an in-process map (decoded, shared by pointer) and,
-// when a directory is configured, on disk in content-addressed form: one
-// blob file per component (named by its payload's SHA-256, so unchanged
-// components dedup across boundaries) plus one manifest per snapshot key
-// listing the component hashes. Every file carries the journal's integrity
-// header (magic, payload SHA-256, length) and is published by atomic
-// rename; a corrupt or truncated file is a counted miss, never data — the
-// warm prefix simply replays live, and the rebuilt snapshot overwrites the
-// bad file. Sweep workers sharing a journal directory (in-process pools
-// and sweepd -worker processes alike) share the store through the
-// filesystem the same way they share the result journal.
+// when a directory is configured, on disk as one sealed file per snapshot
+// key: a journal.Dir of ".ckpt" files whose payload is the snapshot's
+// EncodeSnapshot bytes, read back through DecodeSnapshot. Every file
+// carries the journal's integrity header (magic, payload SHA-256, length)
+// and is published by atomic rename; a corrupt or truncated file is a
+// counted miss, never data — the warm prefix simply replays live, and the
+// rebuilt snapshot overwrites the bad file. Sweep workers sharing a
+// journal directory (in-process pools and sweepd -worker processes alike)
+// share the store through the filesystem the same way they share the
+// result journal.
+//
+// Directories written by older releases (magic "lowvccckpt1": a ".ckpt"
+// index per key naming separately stored component blob files) heal the
+// same way: each old index fails the header check, counts as corrupt, is
+// removed and is rebuilt on the next WarmTo. The old component blob files
+// are left where they are; they are neither counted against a budget nor
+// deleted.
 //
 // # The store is a cache
 //
 // Nothing is ever allowed to fail a simulation because of checkpointing: a
 // failed write costs a future re-replay, a failed read replays live, and a
 // restore that rejects its snapshot (fault-map mismatch, shape drift) falls
-// back to replay. The reference path — checkpoints off, every prefix
-// replayed live — is selectable everywhere and bit-identical (fuzzed).
+// back to replay. The byte budget (SetBudget) evicts whole snapshot files
+// least-recently-used first; every snapshot restores on its own, so an
+// eviction costs replay work, never a result. The reference path —
+// checkpoints off, every prefix replayed live — is selectable everywhere
+// and bit-identical (fuzzed).
 package ckpt
 
 import (
-	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"io/fs"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -90,45 +97,25 @@ type Stats struct {
 // nil *Store is valid and means "checkpoints off": every operation is a
 // no-op and WarmTo replays live.
 type Store struct {
-	dir string
+	disk *journal.Dir // nil: memory-only
 
 	mu    sync.Mutex
 	snaps map[string]*core.WarmState
 
 	hits, misses, corrupt, restores, replays, captures, writeErrs atomic.Uint64
-	evictions                                                     atomic.Uint64
-
-	// Disk-budget state (SetBudget); all guarded by bmu. msizes/mblobs
-	// describe manifests, bsizes/brefs the blobs they reference; total is
-	// the tracked on-disk byte count. Populated only while a budget is
-	// active.
-	bmu     sync.Mutex
-	budget  int64
-	total   int64
-	msizes  map[string]int64
-	mblobs  map[string][]string
-	bsizes  map[string]int64
-	brefs   map[string]int
-	lastUse map[string]int64
-	useSeq  int64
 }
 
 // Open returns a store backed by dir; dir "" means memory-only.
 func Open(dir string) (*Store, error) {
+	s := &Store{snaps: make(map[string]*core.WarmState)}
 	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		disk, err := journal.OpenDir(dir, ".ckpt", "lowvccckpt2")
+		if err != nil {
 			return nil, fmt.Errorf("ckpt: %w", err)
 		}
+		s.disk = disk
 	}
-	return &Store{dir: dir, snaps: make(map[string]*core.WarmState)}, nil
-}
-
-// Dir returns the store's directory ("" for memory-only).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
+	return s, nil
 }
 
 // Stats returns a snapshot of the access counters.
@@ -136,7 +123,7 @@ func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}
 	}
-	return Stats{
+	st := Stats{
 		Hits:        s.hits.Load(),
 		Misses:      s.misses.Load(),
 		Corrupt:     s.corrupt.Load(),
@@ -144,8 +131,11 @@ func (s *Store) Stats() Stats {
 		Replays:     s.replays.Load(),
 		Captures:    s.captures.Load(),
 		WriteErrors: s.writeErrs.Load(),
-		Evictions:   s.evictions.Load(),
 	}
+	if s.disk != nil {
+		st.Evictions = s.disk.Evictions()
+	}
+	return st
 }
 
 // SnapshotKey derives the content address of the snapshot at an instruction
@@ -201,21 +191,22 @@ func (s *Store) Get(key string) (*core.WarmState, bool) {
 	s.mu.Unlock()
 	if ok {
 		s.hits.Add(1)
-		s.touchSnap(key)
 		return ws, true
 	}
-	if s.dir == "" {
+	if s.disk == nil {
 		s.misses.Add(1)
 		return nil, false
 	}
-	ws, err := s.load(key)
+	_, payload, err := s.disk.Read(key)
+	if err == nil {
+		ws, err = DecodeSnapshot(payload)
+	}
 	if err != nil {
-		if !os.IsNotExist(err) {
-			// Corrupt, not absent: evict the manifest so has() stops
-			// reporting a snapshot here and the next WarmTo re-publishes
-			// it (load already evicted any bad blob).
+		if !errors.Is(err, fs.ErrNotExist) {
+			// Corrupt, not absent: remove the file so has() stops
+			// reporting a snapshot here and the next WarmTo re-publishes it.
 			s.corrupt.Add(1)
-			os.Remove(s.manifestPath(key))
+			s.disk.Remove(key)
 		}
 		s.misses.Add(1)
 		return nil, false
@@ -230,7 +221,6 @@ func (s *Store) Get(key string) (*core.WarmState, bool) {
 	}
 	s.mu.Unlock()
 	s.hits.Add(1)
-	s.touchSnap(key)
 	return ws, true
 }
 
@@ -248,16 +238,16 @@ func (s *Store) Put(key string, ws *core.WarmState) {
 	}
 	s.mu.Unlock()
 	s.captures.Add(1)
-	if s.dir == "" || dup {
+	if s.disk == nil || dup {
 		return
 	}
-	if err := s.flush(key, ws); err != nil {
+	if err := s.disk.Write(key, EncodeSnapshot(ws)); err != nil {
 		s.writeErrs.Add(1)
 	}
 }
 
-// has reports whether a snapshot exists (in memory or as a manifest file)
-// without decoding it.
+// has reports whether a snapshot exists (in memory or as a file) without
+// decoding it.
 func (s *Store) has(key string) bool {
 	if s == nil {
 		return false
@@ -265,11 +255,7 @@ func (s *Store) has(key string) bool {
 	s.mu.Lock()
 	_, ok := s.snaps[key]
 	s.mu.Unlock()
-	if ok || s.dir == "" {
-		return ok
-	}
-	_, err := os.Stat(s.manifestPath(key))
-	return err == nil
+	return ok || s.disk != nil && s.disk.Has(key)
 }
 
 // drop forgets a snapshot that failed to restore, so the next probe
@@ -278,11 +264,8 @@ func (s *Store) drop(key string) {
 	s.mu.Lock()
 	delete(s.snaps, key)
 	s.mu.Unlock()
-	if s.dir != "" {
-		os.Remove(s.manifestPath(key))
-		s.bmu.Lock()
-		s.forgetLocked(key, false)
-		s.bmu.Unlock()
+	if s.disk != nil {
+		s.disk.Remove(key)
 	}
 }
 
@@ -351,345 +334,21 @@ func (s *Store) WarmTo(c *core.Core, traceHash, warmCfgKey string, interval int,
 	return nil
 }
 
-// ---- disk format ----
-
-const headerMagic = "lowvccckpt1"
-
-func (s *Store) manifestPath(key string) string { return filepath.Join(s.dir, key+".ckpt") }
-func (s *Store) blobPath(hash string) string    { return filepath.Join(s.dir, "blob-"+hash) }
-
-// seal prepends the integrity header (magic, payload SHA-256, length) and
-// returns the framed file plus the payload's hash.
-func seal(payload []byte) ([]byte, string) {
-	sum := fmt.Sprintf("%x", sha256.Sum256(payload))
-	header := fmt.Sprintf("%s %s %d\n", headerMagic, sum, len(payload))
-	return append([]byte(header), payload...), sum
-}
-
-// unseal verifies the integrity header and returns the payload.
-func unseal(data []byte) ([]byte, error) {
-	nl := strings.IndexByte(string(data), '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("ckpt: truncated header")
-	}
-	var magicGot, sum string
-	var length int
-	if _, err := fmt.Sscanf(string(data[:nl]), "%s %s %d", &magicGot, &sum, &length); err != nil || magicGot != headerMagic {
-		return nil, fmt.Errorf("ckpt: bad header")
-	}
-	payload := data[nl+1:]
-	if len(payload) != length {
-		return nil, fmt.Errorf("ckpt: payload %d bytes, header says %d (truncated write)", len(payload), length)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != sum {
-		return nil, fmt.Errorf("ckpt: checksum mismatch")
-	}
-	return payload, nil
-}
-
-// flush writes the snapshot's component blobs (skipping ones already
-// present — content addressing makes them immutable) and then publishes
-// the manifest, all via temp-file + atomic rename.
-func (s *Store) flush(key string, ws *core.WarmState) error {
-	var manifest strings.Builder
-	type blob struct {
-		sum  string
-		size int64
-	}
-	var blobs []blob
-	for _, c := range components(ws) {
-		data, sum := seal(c.data)
-		fmt.Fprintf(&manifest, "%s %s\n", c.name, sum)
-		blobs = append(blobs, blob{sum, int64(len(data))})
-		path := s.blobPath(sum)
-		// Dedup: an intact blob with this hash is this blob. Verify, don't
-		// just stat — trusting a name would let a torn or scrambled file
-		// block its own repair forever.
-		if existing, err := os.ReadFile(path); err == nil {
-			if p, err := unseal(existing); err == nil &&
-				fmt.Sprintf("%x", sha256.Sum256(p)) == sum {
-				continue
-			}
-		}
-		if err := s.writeFile(path, data); err != nil {
-			return err
-		}
-	}
-	data, _ := seal([]byte(manifest.String()))
-	if err := s.writeFile(s.manifestPath(key), data); err != nil {
-		return err
-	}
-	s.bmu.Lock()
-	if s.budget > 0 && s.msizes != nil {
-		if _, known := s.msizes[key]; !known {
-			s.msizes[key] = int64(len(data))
-			s.total += int64(len(data))
-			hashes := make([]string, 0, len(blobs))
-			for _, b := range blobs {
-				hashes = append(hashes, b.sum)
-				if s.brefs[b.sum] == 0 {
-					s.bsizes[b.sum] = b.size
-					s.total += b.size
-				}
-				s.brefs[b.sum]++
-			}
-			s.mblobs[key] = hashes
-		}
-		s.useSeq++
-		s.lastUse[key] = s.useSeq
-		s.enforceLocked(key)
-	}
-	s.bmu.Unlock()
-	return nil
-}
-
-// load reads and verifies the manifest and every component blob for key.
-// os.IsNotExist errors mean a plain miss; anything else is corruption.
-func (s *Store) load(key string) (*core.WarmState, error) {
-	raw, err := os.ReadFile(s.manifestPath(key))
-	if err != nil {
-		return nil, err
-	}
-	payload, err := unseal(raw)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: manifest %s: %w", key, err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(payload), "\n"), "\n")
-	if len(lines) != len(componentNames) {
-		return nil, fmt.Errorf("ckpt: manifest %s: %d components, want %d", key, len(lines), len(componentNames))
-	}
-	payloads := make(map[string][]byte, len(componentNames))
-	for i, line := range lines {
-		name, sum, ok := strings.Cut(line, " ")
-		if !ok || name != componentNames[i] {
-			return nil, fmt.Errorf("ckpt: manifest %s: bad component line %q", key, line)
-		}
-		braw, err := os.ReadFile(s.blobPath(sum))
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: manifest %s: %w", key, err)
-		}
-		bp, err := unseal(braw)
-		if err != nil {
-			// A blob that fails its own header is not the content its name
-			// claims: evict it, or flush's existence check would keep
-			// trusting the bad bytes and rebuilds could never heal.
-			os.Remove(s.blobPath(sum))
-			return nil, fmt.Errorf("ckpt: blob %s: %w", sum, err)
-		}
-		// The header hash was just verified; it must also be the content
-		// address the manifest pointed at.
-		if got := fmt.Sprintf("%x", sha256.Sum256(bp)); got != sum {
-			os.Remove(s.blobPath(sum))
-			return nil, fmt.Errorf("ckpt: blob %s holds content %s", sum, got)
-		}
-		payloads[name] = bp
-	}
-	return assemble(payloads)
-}
-
-// ---- disk budget ----
-
-// SetBudget caps the store's directory at budget bytes of manifests plus
-// blobs. When a flush pushes the total over the cap, whole snapshots are
-// evicted least-recently-used first — manifest removed, then any blob no
-// surviving manifest references (blobs are refcounted, so a component
-// shared across boundaries survives until its last manifest goes). Zero
-// or negative disables the cap. Eviction can never break a restorable
-// boundary chain: every snapshot restores independently and WarmTo
-// probes shallower (ultimately live replay) on a miss, so the worst case
-// is re-replay work, never a wrong result. A nil *Store ignores the call.
-//
-// Accounting assumes this process is the directory's only writer while a
-// budget is active (the sweep daemon's arrangement); other readers just
-// see extra misses.
+// SetBudget caps the store's directory at budget bytes of snapshot files;
+// past the cap whole snapshots evict least-recently-used first (see
+// journal.Dir.SetBudget). Zero or negative disables the cap. A nil or
+// memory-only store ignores the call.
 func (s *Store) SetBudget(budget int64) {
-	if s == nil || s.dir == "" {
-		return
+	if s != nil && s.disk != nil {
+		s.disk.SetBudget(budget)
 	}
-	s.bmu.Lock()
-	defer s.bmu.Unlock()
-	s.budget = budget
-	if budget <= 0 {
-		s.msizes, s.mblobs, s.bsizes, s.brefs, s.lastUse = nil, nil, nil, nil, nil
-		s.total = 0
-		return
-	}
-	if s.msizes == nil {
-		s.scanLocked()
-	}
-	s.enforceLocked("")
 }
 
-// DiskUsage reports the tracked on-disk bytes while a budget is active
-// (0 otherwise).
+// DiskUsage reports the tracked snapshot-file bytes while a budget is
+// active (0 otherwise).
 func (s *Store) DiskUsage() int64 {
-	if s == nil {
+	if s == nil || s.disk == nil {
 		return 0
 	}
-	s.bmu.Lock()
-	defer s.bmu.Unlock()
-	return s.total
-}
-
-// touchSnap bumps a snapshot's recency; a no-op unless a budget is
-// active.
-func (s *Store) touchSnap(key string) {
-	s.bmu.Lock()
-	if s.lastUse != nil {
-		if _, ok := s.msizes[key]; ok {
-			s.useSeq++
-			s.lastUse[key] = s.useSeq
-		}
-	}
-	s.bmu.Unlock()
-}
-
-// scanLocked seeds the accounting from the directory: manifests are read
-// (they are one line per component) to recover blob references, recency
-// comes from manifest mtimes, and orphan blobs — referenced by no
-// manifest — are counted with zero refs so enforcement GCs them first.
-func (s *Store) scanLocked() {
-	s.msizes = make(map[string]int64)
-	s.mblobs = make(map[string][]string)
-	s.bsizes = make(map[string]int64)
-	s.brefs = make(map[string]int)
-	s.lastUse = make(map[string]int64)
-	s.total = 0
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	type aged struct {
-		key string
-		mt  int64
-	}
-	var manifests []aged
-	for _, ent := range ents {
-		name := ent.Name()
-		info, ierr := ent.Info()
-		if ierr != nil {
-			continue
-		}
-		switch {
-		case strings.HasSuffix(name, ".ckpt"):
-			key := strings.TrimSuffix(name, ".ckpt")
-			s.msizes[key] = info.Size()
-			s.total += info.Size()
-			manifests = append(manifests, aged{key, info.ModTime().UnixNano()})
-			if raw, rerr := os.ReadFile(filepath.Join(s.dir, name)); rerr == nil {
-				if payload, uerr := unseal(raw); uerr == nil {
-					var hashes []string
-					for _, line := range strings.Split(strings.TrimSuffix(string(payload), "\n"), "\n") {
-						if _, sum, ok := strings.Cut(line, " "); ok {
-							hashes = append(hashes, sum)
-							s.brefs[sum]++
-						}
-					}
-					s.mblobs[key] = hashes
-				}
-			}
-		case strings.HasPrefix(name, "blob-"):
-			sum := strings.TrimPrefix(name, "blob-")
-			s.bsizes[sum] = info.Size()
-			s.total += info.Size()
-		}
-	}
-	sort.Slice(manifests, func(a, b int) bool { return manifests[a].mt < manifests[b].mt })
-	for _, m := range manifests {
-		s.useSeq++
-		s.lastUse[m.key] = s.useSeq
-	}
-}
-
-// enforceLocked GCs orphan blobs, then evicts least-recently-used
-// snapshots (sparing keep, the one just flushed) until the total fits.
-func (s *Store) enforceLocked(keep string) {
-	if s.budget <= 0 || s.msizes == nil {
-		return
-	}
-	if s.total > s.budget {
-		for sum, size := range s.bsizes {
-			if s.brefs[sum] == 0 {
-				if err := os.Remove(s.blobPath(sum)); err == nil || os.IsNotExist(err) {
-					s.total -= size
-					delete(s.bsizes, sum)
-					delete(s.brefs, sum)
-				}
-			}
-		}
-	}
-	if s.total <= s.budget {
-		return
-	}
-	type cand struct {
-		key string
-		use int64
-	}
-	var cands []cand
-	for key, use := range s.lastUse {
-		if key != keep {
-			cands = append(cands, cand{key, use})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].use < cands[b].use })
-	for _, c := range cands {
-		if s.total <= s.budget {
-			return
-		}
-		if err := os.Remove(s.manifestPath(c.key)); err != nil && !os.IsNotExist(err) {
-			continue
-		}
-		s.forgetLocked(c.key, true)
-		s.evictions.Add(1)
-	}
-}
-
-// forgetLocked drops key from the accounting (manifest file already
-// removed by the caller) and, when gcBlobs is set, unlinks blobs whose
-// last reference it held.
-func (s *Store) forgetLocked(key string, gcBlobs bool) {
-	if s.msizes == nil {
-		return
-	}
-	size, ok := s.msizes[key]
-	if !ok {
-		return
-	}
-	s.total -= size
-	delete(s.msizes, key)
-	delete(s.lastUse, key)
-	for _, sum := range s.mblobs[key] {
-		if s.brefs[sum]--; s.brefs[sum] <= 0 {
-			delete(s.brefs, sum)
-			if gcBlobs {
-				if err := os.Remove(s.blobPath(sum)); err == nil || os.IsNotExist(err) {
-					s.total -= s.bsizes[sum]
-					delete(s.bsizes, sum)
-				}
-			}
-		}
-	}
-	delete(s.mblobs, key)
-}
-
-func (s *Store) writeFile(path string, data []byte) error {
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
-	if err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: writing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: closing %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: publishing %s: %w", path, err)
-	}
-	return nil
+	return s.disk.DiskUsage()
 }

@@ -2,6 +2,9 @@ package ckpt_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,12 +18,12 @@ import (
 	"lowvcc/internal/workload"
 )
 
-func testTrace(t *testing.T) *trace.Trace {
+func testTrace(t testing.TB) *trace.Trace {
 	t.Helper()
 	return workload.LongTrace(40000, 7)
 }
 
-func warmSnapshot(t *testing.T, cfg core.Config, tr *trace.Trace, n int) *core.WarmState {
+func warmSnapshot(t testing.TB, cfg core.Config, tr *trace.Trace, n int) *core.WarmState {
 	t.Helper()
 	c := core.MustNew(cfg)
 	if err := c.WarmReplay(tr, n); err != nil {
@@ -258,7 +261,7 @@ func TestWarmToNilStore(t *testing.T) {
 	}
 }
 
-// TestCorruptCheckpointsDetected: truncated manifests and scrambled blobs
+// TestCorruptCheckpointsDetected: truncated and scrambled snapshot files
 // are detected misses — WarmTo falls back to live replay with identical
 // results and rebuilds the damaged snapshot.
 func TestCorruptCheckpointsDetected(t *testing.T) {
@@ -282,7 +285,7 @@ func TestCorruptCheckpointsDetected(t *testing.T) {
 	}
 
 	damage := []func() error{
-		func() error { // truncate the deepest manifest mid-file
+		func() error { // truncate the deepest snapshot mid-file
 			path := filepath.Join(dir, ckpt.SnapshotKey(th, wk, n)+".ckpt")
 			data, err := os.ReadFile(path)
 			if err != nil {
@@ -290,16 +293,12 @@ func TestCorruptCheckpointsDetected(t *testing.T) {
 			}
 			return os.WriteFile(path, data[:len(data)/2], 0o644)
 		},
-		func() error { // flip a payload byte in every blob
-			ents, err := os.ReadDir(dir)
+		func() error { // flip a payload byte in every snapshot
+			files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 			if err != nil {
 				return err
 			}
-			for _, e := range ents {
-				if !strings.HasPrefix(e.Name(), "blob-") {
-					continue
-				}
-				path := filepath.Join(dir, e.Name())
+			for _, path := range files {
 				data, err := os.ReadFile(path)
 				if err != nil {
 					return err
@@ -347,40 +346,88 @@ func TestCorruptCheckpointsDetected(t *testing.T) {
 	}
 }
 
-// TestBlobDedup: snapshots at consecutive boundaries share the blobs of
-// components the extra instructions did not touch — content addressing is
-// what keeps a many-boundary store compact.
-func TestBlobDedup(t *testing.T) {
+// TestOldFormatHeals: a directory written by the manifest-plus-blobs
+// layout (magic "lowvccckpt1": one manifest per snapshot key naming six
+// content-addressed blob-* component files) is read as corrupt, rebuilt in
+// the current format by WarmTo with unchanged results, and its stray blob
+// files are neither deleted nor counted against a budget.
+func TestOldFormatHeals(t *testing.T) {
 	tr := testTrace(t)
 	cfg := core.DefaultConfig(500, circuit.ModeIRAW)
+	th, wk := "trace-under-test", ckpt.WarmConfigKey(cfg)
+	const n = 20000
+	key := ckpt.SnapshotKey(th, wk, n)
 	dir := t.TempDir()
+
+	// The old layout: each section of the snapshot encoding was a blob.
+	oldSeal := func(payload []byte) ([]byte, string) {
+		sum := fmt.Sprintf("%x", sha256.Sum256(payload))
+		return append([]byte(fmt.Sprintf("lowvccckpt1 %s %d\n", sum, len(payload))), payload...), sum
+	}
+	enc := ckpt.EncodeSnapshot(warmSnapshot(t, cfg, tr, n))
+	var manifest strings.Builder
+	for _, name := range []string{"il0", "dl0", "ul1", "itlb", "dtlb", "bp"} {
+		size := binary.LittleEndian.Uint64(enc)
+		blob, sum := oldSeal(enc[8 : 8+size])
+		enc = enc[8+size:]
+		fmt.Fprintf(&manifest, "%s %s\n", name, sum)
+		if err := os.WriteFile(filepath.Join(dir, "blob-"+sum), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, _ := oldSeal([]byte(manifest.String()))
+	if err := os.WriteFile(filepath.Join(dir, key+".ckpt"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	st, err := ckpt.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two snapshots one instruction apart: at most a handful of components
-	// change, so blob count must be far below 2 * components.
-	c := core.MustNew(cfg)
-	if err := st.WarmTo(c, "t", "w", 1, tr, 2); err != nil {
+	if _, ok := st.Get(key); ok {
+		t.Fatal("old-format snapshot read as data")
+	}
+	if s := st.Stats(); s.Corrupt != 1 || s.Misses != 1 {
+		t.Fatalf("old-format read: stats %+v, want 1 corrupt miss", s)
+	}
+
+	live := core.MustNew(cfg)
+	if err := live.WarmReplay(tr, n); err != nil {
 		t.Fatal(err)
 	}
-	ents, err := os.ReadDir(dir)
+	want, err := live.RunWarmed(tr, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs, manifests := 0, 0
-	for _, e := range ents {
-		switch {
-		case strings.HasPrefix(e.Name(), "blob-"):
-			blobs++
-		case strings.HasSuffix(e.Name(), ".ckpt"):
-			manifests++
-		}
+	c := core.MustNew(cfg)
+	if err := st.WarmTo(c, th, wk, n, tr, n); err != nil {
+		t.Fatal(err)
 	}
-	if manifests != 2 {
-		t.Fatalf("manifests = %d, want 2", manifests)
+	got, err := c.RunWarmed(tr, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if blobs >= 12 {
-		t.Errorf("blobs = %d: consecutive boundaries shared nothing", blobs)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("warm-up over an old-format directory changed the Result")
+	}
+
+	st2, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st2.Get(key); !ok {
+		t.Fatal("snapshot not rebuilt in the current format")
+	}
+	blobs, err := filepath.Glob(filepath.Join(dir, "blob-*"))
+	if err != nil || len(blobs) != 6 {
+		t.Fatalf("stray blobs = %d (%v), want all 6 left in place", len(blobs), err)
+	}
+	info, err := os.Stat(filepath.Join(dir, key+".ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.SetBudget(1 << 40)
+	if u := st2.DiskUsage(); u != info.Size() {
+		t.Errorf("DiskUsage = %d, want the one snapshot file's %d bytes", u, info.Size())
 	}
 }

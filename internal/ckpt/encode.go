@@ -3,6 +3,7 @@ package ckpt
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"lowvcc/internal/cache"
 	"lowvcc/internal/core"
@@ -11,12 +12,14 @@ import (
 )
 
 // The wire encoding is deliberately primitive: fixed-width little-endian
-// scalars, length-prefixed slices, fields in struct order. Two properties
-// matter — it is deterministic (the same warm state encodes to the same
-// bytes, which is what makes blobs content-addressable and the
-// vcc-independence tests byte-comparable) and it is self-delimiting (a
-// decoder can bounds-check every read, so a scrambled blob fails loudly
-// instead of producing a plausible snapshot).
+// scalars, length-prefixed slices, fields in struct order. A snapshot is
+// six length-prefixed sections in a fixed order — il0, dl0, ul1, itlb,
+// dtlb, bp — each holding one component's fields. Two properties matter:
+// it is canonical (the same warm state encodes to the same bytes and
+// DecodeSnapshot accepts exactly the bytes EncodeSnapshot writes, which is
+// what makes the vcc-independence tests byte-comparable), and it is
+// self-delimiting (the decoder bounds-checks every read, so a scrambled
+// snapshot file fails loudly instead of producing a plausible snapshot).
 
 type encoder struct{ buf []byte }
 
@@ -38,6 +41,14 @@ func (e *encoder) bytes(v []byte) {
 	e.buf = append(e.buf, v...)
 }
 
+// section appends a length-prefixed section whose body fill writes.
+func (e *encoder) section(fill func()) {
+	at := len(e.buf)
+	e.u64(0)
+	fill()
+	binary.LittleEndian.PutUint64(e.buf[at:], uint64(len(e.buf)-at-8))
+}
+
 type decoder struct {
 	buf []byte
 	off int
@@ -49,12 +60,22 @@ func (d *decoder) u64() uint64 {
 		return 0
 	}
 	if d.off+8 > len(d.buf) {
-		d.err = fmt.Errorf("ckpt: truncated blob at offset %d", d.off)
+		d.err = fmt.Errorf("ckpt: truncated snapshot at offset %d", d.off)
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.buf[d.off:])
 	d.off += 8
 	return v
+}
+
+// u32 reads a u64 field that must hold a 32-bit value, so every accepted
+// encoding is the one the encoder writes.
+func (d *decoder) u32() uint32 {
+	v := d.u64()
+	if d.err == nil && v > math.MaxUint32 {
+		d.err = fmt.Errorf("ckpt: 32-bit field holds %#x at offset %d", v, d.off-8)
+	}
+	return uint32(v)
 }
 
 // lenField reads a slice length and sanity-bounds it against the remaining
@@ -90,20 +111,30 @@ func (d *decoder) bytes() []byte {
 	return v
 }
 
+// section decodes one length-prefixed section with body, which must
+// consume it exactly.
+func (d *decoder) section(body func(*decoder)) {
+	n := d.lenField(1)
+	if d.err != nil {
+		return
+	}
+	sub := &decoder{buf: d.buf[d.off : d.off+n]}
+	body(sub)
+	d.off += n
+	d.err = sub.done()
+}
+
 func (d *decoder) done() error {
 	if d.err != nil {
 		return d.err
 	}
 	if d.off != len(d.buf) {
-		return fmt.Errorf("ckpt: %d trailing bytes after payload", len(d.buf)-d.off)
+		return fmt.Errorf("ckpt: %d trailing bytes", len(d.buf)-d.off)
 	}
 	return nil
 }
 
-func encodeCache(w *cache.WarmState) []byte {
-	e := &encoder{buf: make([]byte, 0,
-		8*(len(w.Tags)+len(w.Valid)+len(w.Dirty)+len(w.LRU)+7)+
-			len(w.Data.Data)+8*len(w.Data.Ready))}
+func (e *encoder) cache(w *cache.WarmState) {
 	e.u64s(w.Tags)
 	e.u64s(w.Valid)
 	e.u64s(w.Dirty)
@@ -111,11 +142,9 @@ func encodeCache(w *cache.WarmState) []byte {
 	e.u64(w.LRUTick)
 	e.bytes(w.Data.Data)
 	e.u64s(w.Data.Ready)
-	return e.buf
 }
 
-func decodeCache(buf []byte) (*cache.WarmState, error) {
-	d := &decoder{buf: buf}
+func (d *decoder) cache() *cache.WarmState {
 	w := &cache.WarmState{
 		Tags:  d.u64s(),
 		Valid: d.u64s(),
@@ -124,84 +153,50 @@ func decodeCache(buf []byte) (*cache.WarmState, error) {
 	}
 	w.LRUTick = d.u64()
 	w.Data = &sram.WarmState{Data: d.bytes(), Ready: d.u64s()}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return w
 }
 
-func encodeBP(w *predictor.WarmState) []byte {
-	e := &encoder{buf: make([]byte, 0, len(w.Counters)+8*(len(w.RSB)+5))}
+func (e *encoder) bp(w *predictor.WarmState) {
 	e.bytes(w.Counters)
 	e.u64(uint64(w.History))
 	e.u64s(w.RSB)
 	e.u64(uint64(uint32(w.Top)))
+}
+
+func (d *decoder) bp() *predictor.WarmState {
+	w := &predictor.WarmState{Counters: d.bytes()}
+	w.History = d.u32()
+	w.RSB = d.u64s()
+	w.Top = int32(d.u32())
+	return w
+}
+
+// EncodeSnapshot renders a snapshot's canonical byte form, the payload of
+// its file on disk. Two snapshots are identical warm states iff their
+// encodings are equal — the vcc-independence tests compare these bytes
+// directly.
+func EncodeSnapshot(ws *core.WarmState) []byte {
+	e := &encoder{}
+	for _, c := range []*cache.WarmState{ws.Mem.IL0, ws.Mem.DL0, ws.Mem.UL1, ws.Mem.ITLB, ws.Mem.DTLB} {
+		e.section(func() { e.cache(c) })
+	}
+	e.section(func() { e.bp(ws.BP) })
 	return e.buf
 }
 
-func decodeBP(buf []byte) (*predictor.WarmState, error) {
+// DecodeSnapshot is EncodeSnapshot's inverse. It rejects any input that is
+// not exactly some snapshot's encoding, and never allocates more than the
+// input's size; the shapes are checked later, by core.RestoreWarm.
+func DecodeSnapshot(buf []byte) (*core.WarmState, error) {
 	d := &decoder{buf: buf}
-	w := &predictor.WarmState{Counters: d.bytes()}
-	w.History = uint32(d.u64())
-	w.RSB = d.u64s()
-	w.Top = int32(uint32(d.u64()))
+	mem := &cache.HierarchyWarmState{}
+	for _, dst := range []**cache.WarmState{&mem.IL0, &mem.DL0, &mem.UL1, &mem.ITLB, &mem.DTLB} {
+		d.section(func(sd *decoder) { *dst = sd.cache() })
+	}
+	ws := &core.WarmState{Mem: mem}
+	d.section(func(sd *decoder) { ws.BP = sd.bp() })
 	if err := d.done(); err != nil {
 		return nil, err
 	}
-	return w, nil
-}
-
-// components maps a snapshot to its named component payloads, in the fixed
-// manifest order. Each component is one content-addressed blob on disk;
-// consecutive boundaries of the same trace typically change only a subset
-// of components, so the unchanged ones share their blob files.
-func components(ws *core.WarmState) []struct {
-	name string
-	data []byte
-} {
-	return []struct {
-		name string
-		data []byte
-	}{
-		{"il0", encodeCache(ws.Mem.IL0)},
-		{"dl0", encodeCache(ws.Mem.DL0)},
-		{"ul1", encodeCache(ws.Mem.UL1)},
-		{"itlb", encodeCache(ws.Mem.ITLB)},
-		{"dtlb", encodeCache(ws.Mem.DTLB)},
-		{"bp", encodeBP(ws.BP)},
-	}
-}
-
-// componentNames is the manifest order; decode rejects manifests that list
-// anything else.
-var componentNames = []string{"il0", "dl0", "ul1", "itlb", "dtlb", "bp"}
-
-func assemble(payloads map[string][]byte) (*core.WarmState, error) {
-	mem := &cache.HierarchyWarmState{}
-	var err error
-	for _, p := range []struct {
-		name string
-		dst  **cache.WarmState
-	}{{"il0", &mem.IL0}, {"dl0", &mem.DL0}, {"ul1", &mem.UL1}, {"itlb", &mem.ITLB}, {"dtlb", &mem.DTLB}} {
-		if *p.dst, err = decodeCache(payloads[p.name]); err != nil {
-			return nil, fmt.Errorf("ckpt: component %s: %w", p.name, err)
-		}
-	}
-	bp, err := decodeBP(payloads["bp"])
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: component bp: %w", err)
-	}
-	return &core.WarmState{Mem: mem, BP: bp}, nil
-}
-
-// EncodeSnapshot renders a snapshot's canonical byte form: every component
-// payload concatenated in manifest order, each length-prefixed. Two
-// snapshots are identical warm states iff their encodings are equal — the
-// vcc-independence tests compare these bytes directly.
-func EncodeSnapshot(ws *core.WarmState) []byte {
-	e := &encoder{}
-	for _, c := range components(ws) {
-		e.bytes(c.data)
-	}
-	return e.buf
+	return ws, nil
 }

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -84,10 +85,11 @@ func TestMissAndCorruptEntries(t *testing.T) {
 	e := &Entry{Key: key, Windows: 1, Result: res}
 
 	// Truncated at several byte counts, including 0 and header-only.
-	full, err := encode(e)
+	payload, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := append(j.files.header(payload), payload...)
 	for _, keep := range []int{0, 5, len(full) / 2, len(full) - 1} {
 		if err := j.PutTruncated(e, keep); err != nil {
 			t.Fatal(err)
@@ -101,7 +103,7 @@ func TestMissAndCorruptEntries(t *testing.T) {
 	if err := j.Put(e); err != nil {
 		t.Fatal(err)
 	}
-	path := j.path(key)
+	path := j.files.file(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -139,11 +141,11 @@ func TestWrongKeyAndStrayFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Copy the valid entry under a different key's file name.
-	data, err := os.ReadFile(j.path(Key("a")))
+	data, err := os.ReadFile(j.files.file(Key("a")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(j.path(Key("b")), data, 0o644); err != nil {
+	if err := os.WriteFile(j.files.file(Key("b")), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := j.Get(Key("b")); ok {

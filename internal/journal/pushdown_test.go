@@ -44,7 +44,7 @@ func TestAdmitRoundTrip(t *testing.T) {
 		t.Errorf("admitted entry differs: got %+v want %+v", got.Result, res)
 	}
 	// The file on disk must be byte-identical to the uploaded bytes.
-	onDisk, err := os.ReadFile(daemon.path(key))
+	onDisk, err := os.ReadFile(daemon.files.file(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +67,12 @@ func TestAdmitRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, _ := worker.GetRaw(key)
+	// Non-canonical headers carry a payload that passes every check but
+	// the byte-exact header comparison: the same magic, checksum and
+	// length, spelled differently.
+	header, payload, _ := strings.Cut(string(raw), "\n")
+	f := strings.Fields(header)
+	respell := func(h string) []byte { return []byte(h + "\n" + payload) }
 
 	cases := []struct {
 		name string
@@ -78,6 +84,12 @@ func TestAdmitRejectsCorrupt(t *testing.T) {
 		{"wrong key", Key("other-trace", "adm-cfg"), raw},
 		{"garbage", key, []byte("not a journal entry at all")},
 		{"empty", key, nil},
+		{"trailing header field", key, respell(header + " junk")},
+		{"extra spaces and signed length", key, respell(f[0] + "   " + f[1] + " +" + f[2])},
+		{"zero-padded length", key, respell(f[0] + " " + f[1] + " 00" + f[2])},
+		{"upper-case checksum", key, respell(f[0] + " " + strings.ToUpper(f[1]) + " " + f[2])},
+		{"CRLF header", key, respell(header + "\r")},
+		{"foreign magic", key, respell("lowvccckpt2 " + f[1] + " " + f[2])},
 	}
 	for _, tc := range cases {
 		daemon, err := Open(t.TempDir())
@@ -112,7 +124,7 @@ func budgetJournal(t *testing.T, n int) (*Journal, []string, int64) {
 			t.Fatal(err)
 		}
 	}
-	info, err := os.Stat(j.path(keys[0]))
+	info, err := os.Stat(j.files.file(keys[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +154,7 @@ func TestBudgetEvictsLRU(t *testing.T) {
 	if _, ok := j.Get(keys[2]); !ok {
 		t.Error("most recently written entry was evicted")
 	}
-	if u := j.DiskUsage(); u > 2*size+size/2 {
+	if u := j.files.DiskUsage(); u > 2*size+size/2 {
 		t.Errorf("DiskUsage %d over budget", u)
 	}
 	// Further writes keep enforcing: adding a fourth entry evicts again,
@@ -187,7 +199,7 @@ func TestBudgetPinBlocksEviction(t *testing.T) {
 // existing directory accounts for the entries already on disk.
 func TestBudgetSeedsFromDisk(t *testing.T) {
 	j, keys, size := budgetJournal(t, 4)
-	reopened, err := Open(j.Dir())
+	reopened, err := Open(j.files.path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,11 +78,12 @@
 //     buckets and the per-sweep cell limit (QuotaError, also 429)
 //     throttle a greedy tenant without starving the rest.
 //   - Disk full / store over budget: journal and checkpoint stores are
-//     caches. Write failures are counted and swallowed (the cell re-runs
-//     later); under -journal-budget/-ckpt-budget the stores evict
-//     least-recently-used entries, never an in-flight lease's cell
-//     (pinned) — an evicted entry is a future re-simulation or live
-//     replay, never an error.
+//     caches on one sealed-file directory type (journal.Dir). Write
+//     failures are counted and swallowed (the cell re-runs later); under
+//     -journal-budget/-ckpt-budget each store evicts least-recently-used
+//     files (a journal entry or a whole snapshot), never an in-flight
+//     lease's cell (pinned) — an evicted file is a future re-simulation or
+//     live replay, never an error.
 //   - Daemon dies: the exclusive-writer LOCK file (internal/journal) is
 //     reclaimed by the next daemon after a pid+start-time liveness check
 //     (a recycled pid cannot wedge it); completed cells replay from the

@@ -45,7 +45,7 @@ func (r *Runner) RegisterFlags(fs *flag.FlagSet, tool string, names ...string) {
 	})
 	all.StringVar(&r.JournalDir, "journal", "", "journal completed cells to this directory and replay them on restart")
 	all.Int64Var(&r.JournalBudget, "journal-budget", 0, "journal disk budget in bytes; least-recently-used entries evict past it (0 = unbounded)")
-	all.Int64Var(&r.CkptBudget, "ckpt-budget", 0, "checkpoint-store disk budget in bytes (0 = unbounded)")
+	all.Int64Var(&r.CkptBudget, "ckpt-budget", 0, "checkpoint-store disk budget in bytes of snapshot files; least-recently-used snapshots evict past it (0 = unbounded)")
 	all.IntVar(&r.Retries, "retries", 0, "retry transiently-failed cells (timeouts) this many times")
 	all.DurationVar(&r.RetryBackoff, "retry-backoff", time.Second, "backoff before the first retry (doubles per attempt)")
 	all.BoolVar(&r.AllowPartial, "allow-partial", false, "keep going past failed cells and render them as FAIL(reason)")

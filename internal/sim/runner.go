@@ -105,9 +105,9 @@ type Runner struct {
 	JournalBudget int64
 
 	// CkptBudget, when positive, caps the on-disk checkpoint store at
-	// that many bytes (ckpt.SetBudget): whole snapshots evict LRU, blobs
-	// go with their last referencing manifest, and an evicted snapshot
-	// degrades to live warm replay. 0 means unbounded.
+	// that many bytes of snapshot files (ckpt.SetBudget): each snapshot is
+	// one file, files evict least-recently-used first, and an evicted
+	// snapshot degrades to live warm replay. 0 means unbounded.
 	CkptBudget int64
 
 	// AllowPartial switches failure handling from strict (a failed cell

@@ -85,8 +85,9 @@
 // snapshot at a window boundary and replays only the residual tail, so a
 // window start costs O(state size) instead of O(prefix length), and one
 // vcc-independent snapshot per (trace, boundary) is shared across every
-// operating point, worker and — through a shared journal directory —
-// worker process of a sweep. Checkpointing moves work, never numbers: the
+// operating point, worker and — through a shared journal directory, where
+// each snapshot is one sealed file beside the journal's entries — worker
+// process of a sweep. Checkpointing moves work, never numbers: the
 // live-replay reference path (Runner.DisableCheckpoints, -ckpt off) is
 // bit-identical, enforced by an equivalence fuzz. A window with an empty
 // warm prefix measures exactly as core.Run would.
