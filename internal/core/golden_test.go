@@ -19,8 +19,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden engine results
 // every mode, multiple Vcc points (active and inactive IRAW), mispredict
 // redirects (branchy profiles), fence drains with NOOP injection,
 // long-latency load misses (membound), forced-N bubbles, combined
-// faulty-bits, the unsafe validation mode, and the Extra-Bypass write-port
-// FIFO (structural stalls).
+// faulty-bits, the unsafe validation mode, the Extra-Bypass write-port
+// FIFO (structural stalls), and the width axis (1, 3 and 4 — recorded from
+// the engine that still carried the batched multi-slot issue probe, so the
+// single issue path is held to it without a runtime reference twin).
 func goldenCases() []struct {
 	Label string
 	Cfg   Config
@@ -65,6 +67,12 @@ func goldenCases() []struct {
 		mk("specint-450-forcedN3", forcedN, workload.SpecInt(), 8000, 1),
 		mk("specint-450-combined-faulty", combined, workload.SpecInt(), 8000, 1),
 		mk("specint-500-unsafe", unsafeCfg, workload.SpecInt(), 8000, 1),
+		mk("specint-500-iraw-w1", DefaultConfigWidth(500, circuit.ModeIRAW, 1), workload.SpecInt(), 8000, 1),
+		mk("specint-500-iraw-w3", DefaultConfigWidth(500, circuit.ModeIRAW, 3), workload.SpecInt(), 8000, 1),
+		mk("specint-500-iraw-w4", DefaultConfigWidth(500, circuit.ModeIRAW, 4), workload.SpecInt(), 8000, 1),
+		mk("membound-450-iraw-w1", DefaultConfigWidth(450, circuit.ModeIRAW, 1), workload.MemBound(), 6000, 2),
+		mk("membound-450-iraw-w4", DefaultConfigWidth(450, circuit.ModeIRAW, 4), workload.MemBound(), 6000, 2),
+		mk("kernel-fences-500-extrabypass-w4", DefaultConfigWidth(500, circuit.ModeExtraBypass, 4), fenceHeavy, 8000, 4),
 	}
 }
 
