@@ -8,11 +8,9 @@
 //
 // All six (design, workload) cells fan out across the experiment pool
 // (-workers bounds it; -window/-warm shard long traces), and per-trace
-// results come back in workload order. The example doubles as a smoke
-// check of the memory-hierarchy fast path: the whole sweep runs once with
-// the hierarchy fast paths disabled and once enabled, and the simulated
-// instructions per wall-clock second are printed before/after — the
-// results themselves are bit-identical, only the wall-clock moves.
+// results come back in workload order. The example also prints the
+// sweep's simulated instructions per wall-clock second, a smoke metric of
+// the memory hierarchy's cost.
 package main
 
 import (
@@ -43,34 +41,24 @@ func main() {
 		totalInsts += traces[i].Len()
 	}
 
-	// sweep runs the baseline and IRAW points over every trace, returning
-	// the per-trace results and the measured-instruction throughput (the
-	// unsharded path additionally executes a warm-up pass per trace that
-	// this rate deliberately does not count — it is a relative smoke
-	// metric, not BenchmarkMemBoundThroughput's per-pass insts/s).
-	sweep := func(disableFastPaths bool) (bases, iraws []*lowvcc.Result, instsPerSec float64) {
-		start := time.Now()
-		w := runner.Width
-		if w == 0 {
-			w = 2 // the modelled default; DefaultConfigWidth(…, 2) == DefaultConfig
-		}
-		baseCfg := lowvcc.DefaultConfigWidth(vcc, lowvcc.ModeBaseline, w)
-		irawCfg := lowvcc.DefaultConfigWidth(vcc, lowvcc.ModeIRAW, w)
-		baseCfg.DisableFastPaths = disableFastPaths
-		irawCfg.DisableFastPaths = disableFastPaths
-		bases, _, err := sim.RunPoint(baseCfg, traces)
-		if err != nil {
-			log.Fatal(err)
-		}
-		iraws, _, err = sim.RunPoint(irawCfg, traces)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return bases, iraws, 2 * float64(totalInsts) / time.Since(start).Seconds()
+	// Run the baseline and IRAW points over every trace. The rate counts
+	// measured instructions only (the unsharded path additionally executes
+	// a warm-up pass per trace that it deliberately does not count): it is
+	// a smoke metric, not BenchmarkMemBoundThroughput's per-pass insts/s.
+	start := time.Now()
+	w := runner.Width
+	if w == 0 {
+		w = 2 // the modelled default; DefaultConfigWidth(…, 2) == DefaultConfig
 	}
-
-	_, _, slowRate := sweep(true)
-	bases, iraws, fastRate := sweep(false)
+	bases, _, err := sim.RunPoint(lowvcc.DefaultConfigWidth(vcc, lowvcc.ModeBaseline, w), traces)
+	if err != nil {
+		log.Fatal(err)
+	}
+	iraws, _, err := sim.RunPoint(lowvcc.DefaultConfigWidth(vcc, lowvcc.ModeIRAW, w), traces)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rate := 2 * float64(totalInsts) / time.Since(start).Seconds()
 
 	fmt.Printf("at %v (frequency gain %.2fx):\n\n", vcc,
 		lowvcc.DelayModel().FreqGain(vcc))
@@ -90,7 +78,5 @@ func main() {
 	fmt.Println("portion is constant-time DRAM, which the frequency gain cannot")
 	fmt.Println("touch — Section 5.2's effect (i) in isolation.")
 
-	fmt.Printf("\nsimulator throughput, measured insts/s (identical results, hierarchy fast path off -> on):\n")
-	fmt.Printf("  before: %10.0f\n  after:  %10.0f  (%.2fx)\n",
-		slowRate, fastRate, fastRate/slowRate)
+	fmt.Printf("\nsimulator throughput: %.0f measured insts/s\n", rate)
 }

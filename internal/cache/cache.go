@@ -16,8 +16,10 @@
 // # Cached set state
 //
 // The access hot path works from per-set summaries instead of per-access
-// recomputation, with these invariants (all equivalence-fuzzed against the
-// summary-free slow paths, which remain selectable via SetFastPaths(false)):
+// recomputation. There is one access path; the tests hold its answers, at
+// every step of randomized access streams, to reference scans over the flat
+// per-entry state the summaries mirror (valid, disabled, tags, validFrom,
+// lru ticks, an unbounded in-flight map, buffer freeAt). The invariants:
 //
 //   - Address decomposition (lineShift/tagShift/setMask) is precomputed at
 //     construction and never changes.
@@ -33,19 +35,18 @@
 //     packed recency list, moved only by touchLRU. Lookup resolves the set
 //     in one SWAR compare (full tags verify candidates) and Victim reads
 //     the LRU way off the packed order.
-//   - The sram.Array keeps per-set ready bounds and corrupt counts,
-//     maintained on every write/scramble; a read consults them to skip the
-//     set-wide slot walk, and the hierarchy reads corrupt counts in O(1).
-//     Only a write or a violation scramble can invalidate those summaries.
+//   - The sram.Array keeps per-set ready bounds, raised on every write; a
+//     read consults them to skip the set-wide slot walk.
 //   - The in-flight fill (MSHR) records are generational: two maps rotated
 //     one access-time horizon apart, the older dropped wholesale once none
 //     of its records can be consulted again (see MarkInFlight) —
 //     observably identical to the lazily pruned map.
-//   - The hierarchy's integrity-oracle state is lazy and bounded: line
-//     signatures memoize until the line is written (bumpLineVer refreshes
-//     in place), and version records are dropped when their line leaves
-//     the DL0 — the only place signatures are ever compared — on both the
-//     fast and the fast-path-disabled reference paths (see gcOracleLine).
+//   - The fill and write-combining buffers keep their entries in a min-heap
+//     over (freeAt, index), so Reserve reads the earliest-freeing entry off
+//     the root.
+//   - The hierarchy's integrity-oracle state is bounded: version records
+//     are dropped when their line leaves the DL0 — the only place
+//     signatures are ever compared (see gcOracleLine).
 //
 // # Timing-independent access-order contract (functional warm-up)
 //
@@ -169,10 +170,10 @@ type Cache struct {
 	lruTick   uint64
 	// inflight tracks outstanding fills per line (MSHR semantics): a
 	// second miss to an in-flight line merges with it instead of issuing a
-	// duplicate request. Expired records are dropped lazily on probe; on
-	// the fast path the records are generational (inflight + inflightOld,
-	// see MarkInFlight) so streaming miss traffic cannot accumulate one
-	// stale record per line ever missed.
+	// duplicate request. Expired records are dropped lazily on probe, and
+	// the records are generational (inflight + inflightOld, see
+	// MarkInFlight) so streaming miss traffic cannot accumulate one stale
+	// record per line ever missed.
 	inflight    map[uint64]int64
 	inflightOld map[uint64]int64
 	// inflightHigh is the newest completion stamp ever registered;
@@ -204,11 +205,6 @@ type Cache struct {
 	// verifies only candidate bytes against the full tags, so the common
 	// miss costs no per-way tag loads. Allocated only when Ways <= 8.
 	tagSum []uint64
-	// noFast disables the summary-driven fast paths (Lookup/Victim/Peek
-	// bit-scans, MSHR sweeping) in favour of the original full scans — the
-	// benchmark baseline and equivalence-fuzz reference. Flip it only right
-	// after construction (SetFastPaths).
-	noFast bool
 	// holds tracks port-busy cycles (fill stabilization windows,
 	// Store-Table replays). A fill completing at a future cycle holds the
 	// ports only during its window, not from the present.
@@ -280,16 +276,14 @@ func New(cfg Config) (*Cache, error) {
 // full-tag verify.
 func tagFold(tag uint64) uint64 { return (tag ^ tag>>8) & 0xFF }
 
-// touchLRU grants (set, way) the next recency tick and, on the fast path,
-// moves it to the most-recent end of the set's packed order. Ticks and
-// packed order encode the same recency ranking: never-touched ways sort by
+// touchLRU grants (set, way) the next recency tick and, when the order is
+// packed, moves it to the most-recent end of the set's packed order. Ticks
+// and packed order encode the same recency ranking: never-touched ways sort by
 // ascending way index (the packed order's initial state, matching the tick
 // scan's lowest-way tie-break on equal zero ticks), touched ways by tick.
 func (c *Cache) touchLRU(set, way int) {
 	c.lruTick++
 	c.lru[set*c.cfg.Ways+way] = c.lruTick
-	// Maintained regardless of noFast — like every other summary — so
-	// SetFastPaths can be flipped without leaving a stale order behind.
 	if !c.lruPacked {
 		return
 	}
@@ -317,16 +311,6 @@ func MustNew(cfg Config) *Cache {
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
-
-// SetFastPaths enables or disables the cached-set-state fast paths of this
-// block and its backing sram array (enabled by default). The summaries are
-// maintained either way; the flag selects whether the access path consults
-// them. Benchmark-baseline and equivalence-test hook: flip it only right
-// after construction.
-func (c *Cache) SetFastPaths(enabled bool) {
-	c.noFast = !enabled
-	c.data.SetFastPath(enabled)
-}
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -466,125 +450,63 @@ func (c *Cache) WaitPorts(cycle int64) int64 {
 // Lookup probes the cache at the given cycle. On a hit it updates LRU and
 // returns the way. It does not touch the data array (see ReadData).
 //
-// The fast path scans only the live (valid, enabled) ways from the per-set
-// mask, in the same ascending-way order as the full scan, so it hits the
-// same way; an empty set short-circuits to a miss without touching the
-// entry arrays at all.
+// It scans only the live (valid, enabled) ways from the per-set mask, in
+// ascending way order, so it hits the lowest matching readable way; an
+// empty set short-circuits to a miss without touching the entry arrays at
+// all.
 func (c *Cache) Lookup(cycle int64, addr uint64) (way int, hit bool) {
 	c.stats.Accesses++
 	set := c.SetOf(addr)
 	tag := c.tagOf(addr)
-	if !c.noFast {
-		base := set * c.cfg.Ways
-		if c.tagSum != nil {
-			// SWAR probe: all ways' tag folds compared in one word op;
-			// only candidate bytes (fold matches — or the zero-byte
-			// detector's occasional false positive, which the full-tag
-			// verify rejects) touch the entry arrays. Candidates surface
-			// in ascending way order, like the scan.
-			live := c.validMask[set] &^ c.disabledMask[set]
-			x := c.tagSum[set] ^ tagFold(tag)*0x0101010101010101
-			for cand := (x - 0x0101010101010101) &^ x & 0x8080808080808080; cand != 0; cand &= cand - 1 {
-				w := bits.TrailingZeros64(cand) >> 3
-				if live>>uint(w)&1 == 0 {
-					continue
-				}
-				e := base + w
-				if c.tags[e] == tag && cycle >= c.validFrom[e] {
-					c.stats.Hits++
-					c.touchLRU(set, w)
-					return w, true
-				}
+	base := set * c.cfg.Ways
+	if c.tagSum != nil {
+		// SWAR probe: all ways' tag folds compared in one word op; only
+		// candidate bytes (fold matches — or the zero-byte detector's
+		// occasional false positive, which the full-tag verify rejects)
+		// touch the entry arrays. Candidates surface in ascending way
+		// order.
+		live := c.validMask[set] &^ c.disabledMask[set]
+		x := c.tagSum[set] ^ tagFold(tag)*0x0101010101010101
+		for cand := (x - 0x0101010101010101) &^ x & 0x8080808080808080; cand != 0; cand &= cand - 1 {
+			w := bits.TrailingZeros64(cand) >> 3
+			if live>>uint(w)&1 == 0 {
+				continue
 			}
-			c.stats.Misses++
-			return 0, false
-		}
-		for m := c.validMask[set] &^ c.disabledMask[set]; m != 0; m &= m - 1 {
-			e := base + bits.TrailingZeros64(m)
+			e := base + w
 			if c.tags[e] == tag && cycle >= c.validFrom[e] {
 				c.stats.Hits++
-				c.touchLRU(set, e-base)
-				return e - base, true
+				c.touchLRU(set, w)
+				return w, true
 			}
 		}
 		c.stats.Misses++
 		return 0, false
 	}
-	for w := 0; w < c.cfg.Ways; w++ {
-		e := c.entry(set, w)
-		if c.valid[e] && !c.disabled[e] && c.tags[e] == tag && cycle >= c.validFrom[e] {
+	for m := c.validMask[set] &^ c.disabledMask[set]; m != 0; m &= m - 1 {
+		e := base + bits.TrailingZeros64(m)
+		if c.tags[e] == tag && cycle >= c.validFrom[e] {
 			c.stats.Hits++
-			c.touchLRU(set, w)
-			return w, true
+			c.touchLRU(set, e-base)
+			return e - base, true
 		}
 	}
 	c.stats.Misses++
 	return 0, false
 }
 
-// LookupAt probes one specific way — a memoized earlier hit — instead of
-// scanning the set. On a match it performs exactly a Lookup hit's side
-// effects (access/hit counters, LRU touch) and returns true; on any
-// mismatch it returns false with NO side effects, so the caller can fall
-// back to the full Lookup without double-counting. The hierarchy's
-// per-page TLB translation memo is the intended caller.
-func (c *Cache) LookupAt(cycle int64, addr uint64, way int) bool {
-	if way < 0 || way >= c.cfg.Ways {
-		return false
-	}
-	set := c.SetOf(addr)
-	tag := c.tagOf(addr)
-	e := c.entry(set, way)
-	if !c.valid[e] || c.disabled[e] || c.tags[e] != tag || cycle < c.validFrom[e] {
-		return false
-	}
-	// Scan-order guard: Lookup hits the lowest matching readable way, and
-	// duplicate tags are transiently possible (a line can be refilled into
-	// a second way while its first fill is not yet readable). If an
-	// earlier way also matches, the memoized way is not the one Lookup
-	// would pick — fall back so the LRU touch lands exactly where the full
-	// scan would put it.
-	if !c.noFast {
-		base := set * c.cfg.Ways
-		earlier := c.validMask[set] &^ c.disabledMask[set] & (uint64(1)<<uint(way) - 1)
-		for m := earlier; m != 0; m &= m - 1 {
-			pe := base + bits.TrailingZeros64(m)
-			if c.tags[pe] == tag && cycle >= c.validFrom[pe] {
-				return false
-			}
-		}
-	} else {
-		for w := 0; w < way; w++ {
-			pe := c.entry(set, w)
-			if c.valid[pe] && !c.disabled[pe] && c.tags[pe] == tag && cycle >= c.validFrom[pe] {
-				return false
-			}
-		}
-	}
-	c.stats.Accesses++
-	c.stats.Hits++
-	c.touchLRU(set, way)
-	return true
-}
-
 // MarkInFlight registers an outstanding fill of line completing at ready.
 //
-// On the fast path the records are generational: inserts go to the current
-// generation, and when the newest completion stamp crosses the rotation
-// point (one holdCal horizon past the previous rotation) the current
-// generation becomes the old one and the previous old generation is dropped
-// wholesale. A dropped record was registered more than a full horizon
-// (inflightHorizon) below the newest stamp, and access times trail the
-// newest stamp by at most a TLB walk plus a memory round trip, so no
-// future probe could have consulted it: dropping is
-// observably identical to the lazy per-probe pruning, with no sweep scans,
-// and the live maps stay at working-set size instead of accumulating one
-// stale record per line ever missed.
+// The records are generational: inserts go to the current generation, and
+// when the newest completion stamp crosses the rotation point (one horizon
+// past the previous rotation) the current generation becomes the old one
+// and the previous old generation is dropped wholesale. A dropped record
+// was registered more than a full horizon (inflightHorizon) below the
+// newest stamp, and access times trail the newest stamp by at most a TLB
+// walk plus a memory round trip, so no future probe could have consulted
+// it: dropping is observably identical to the lazy per-probe pruning, with
+// no sweep scans, and the live maps stay at working-set size instead of
+// accumulating one stale record per line ever missed.
 func (c *Cache) MarkInFlight(line uint64, ready int64) {
-	if c.noFast {
-		c.inflight[line] = ready
-		return
-	}
 	if ready > c.inflightHigh {
 		c.inflightHigh = ready
 		if ready >= c.inflightRotate {
@@ -651,18 +573,9 @@ func (c *Cache) InFlightReady(line uint64, now int64) (int64, bool) {
 func (c *Cache) Peek(addr uint64) bool {
 	set := c.SetOf(addr)
 	tag := c.tagOf(addr)
-	if !c.noFast {
-		base := set * c.cfg.Ways
-		for m := c.validMask[set] &^ c.disabledMask[set]; m != 0; m &= m - 1 {
-			if c.tags[base+bits.TrailingZeros64(m)] == tag {
-				return true
-			}
-		}
-		return false
-	}
-	for w := 0; w < c.cfg.Ways; w++ {
-		e := c.entry(set, w)
-		if c.valid[e] && !c.disabled[e] && c.tags[e] == tag {
+	base := set * c.cfg.Ways
+	for m := c.validMask[set] &^ c.disabledMask[set]; m != 0; m &= m - 1 {
+		if c.tags[base+bits.TrailingZeros64(m)] == tag {
 			return true
 		}
 	}
@@ -692,57 +605,38 @@ func (c *Cache) WriteData(cycle int64, set, way int, sig uint64) {
 // exists, else the LRU enabled way. ok is false when every way of the set
 // is disabled (Faulty-Bits), in which case the line cannot be cached.
 //
-// The fast path answers the two common cases from the set masks alone: a
-// free enabled way is the lowest bit of enabled&^valid (the same way the
-// ascending scan would return), and the LRU scan walks only enabled ways.
-// Ties on the LRU tick break toward the lowest way in both paths.
+// Both cases are answered from the set masks: a free enabled way is the
+// lowest bit of enabled&^valid, and with every enabled way valid the LRU
+// way is read off the packed order (or, past 8 ways, found by a tick scan
+// over the enabled ways). Ties on the LRU tick break toward the lowest way.
 func (c *Cache) Victim(addr uint64) (way int, ok bool) {
 	set := c.SetOf(addr)
-	if !c.noFast {
-		enabled := c.waysMask &^ c.disabledMask[set]
-		if free := enabled &^ c.validMask[set]; free != 0 {
-			return bits.TrailingZeros64(free), true
-		}
-		if enabled == 0 {
-			return 0, false
-		}
-		if c.lruPacked {
-			// All enabled ways valid: the victim is the least-recent
-			// enabled way, read off the packed order's low end.
-			ord := c.lruOrder[set]
-			for {
-				w := int(ord & 0xF)
-				if enabled>>uint(w)&1 == 1 {
-					return w, true
-				}
-				ord >>= 4
-			}
-		}
-		base := set * c.cfg.Ways
-		best, bestTick := -1, uint64(0)
-		for m := enabled; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros64(m)
-			if t := c.lru[base+w]; best < 0 || t < bestTick {
-				best, bestTick = w, t
-			}
-		}
-		return best, true
+	enabled := c.waysMask &^ c.disabledMask[set]
+	if free := enabled &^ c.validMask[set]; free != 0 {
+		return bits.TrailingZeros64(free), true
 	}
-	best, bestTick := -1, uint64(0)
-	for w := 0; w < c.cfg.Ways; w++ {
-		e := c.entry(set, w)
-		if c.disabled[e] {
-			continue
-		}
-		if !c.valid[e] {
-			return w, true
-		}
-		if best < 0 || c.lru[e] < bestTick {
-			best, bestTick = w, c.lru[e]
-		}
-	}
-	if best < 0 {
+	if enabled == 0 {
 		return 0, false
+	}
+	if c.lruPacked {
+		// All enabled ways valid: the victim is the least-recent enabled
+		// way, read off the packed order's low end.
+		ord := c.lruOrder[set]
+		for {
+			w := int(ord & 0xF)
+			if enabled>>uint(w)&1 == 1 {
+				return w, true
+			}
+			ord >>= 4
+		}
+	}
+	base := set * c.cfg.Ways
+	best, bestTick := -1, uint64(0)
+	for m := enabled; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if t := c.lru[base+w]; best < 0 || t < bestTick {
+			best, bestTick = w, t
+		}
 	}
 	return best, true
 }
@@ -799,9 +693,7 @@ func (c *Cache) MarkDirty(set, way int) { c.dirty[c.entry(set, way)] = true }
 // as Lookup, updating LRU on a hit, but it ignores validFrom (warm replay
 // treats every installed line as settled — there is no clock to compare
 // against) and moves no statistics. Port holds are not consulted: warm
-// accesses are timing-free by definition. The probe always uses the set
-// summaries (they are maintained regardless of the fast-path switch, and
-// the warm path has no summary-free reference to stay equivalent to).
+// accesses are timing-free by definition.
 func (c *Cache) WarmLookup(addr uint64) (way int, hit bool) {
 	set := c.SetOf(addr)
 	tag := c.tagOf(addr)
@@ -960,13 +852,8 @@ type Buffer struct {
 	// off the root in O(1) instead of the exact argmin scan; the
 	// lexicographic tie-break reproduces the scan's lowest-index choice
 	// bit for bit. Commit re-sinks the allocated entry in O(log entries).
-	// Like the cache's set summaries the heap is maintained regardless of
-	// noFast; the flag only selects whether Reserve consults it.
 	order []int32 // heap of entry indices
 	pos   []int32 // entry index -> heap position
-	// noFast selects the reference argmin scan in Reserve (equivalence
-	// tests and benchmark baseline). Flip only right after construction.
-	noFast bool
 
 	Allocs          uint64
 	FullStallCycles uint64
@@ -989,13 +876,8 @@ func NewBuffer(name string, entries int) *Buffer {
 	return b
 }
 
-// SetFastPath enables or disables the heap-backed Reserve (enabled by
-// default), selecting the exact argmin scan as the reference. The heap is
-// maintained either way; flip only right after construction.
-func (b *Buffer) SetFastPath(enabled bool) { b.noFast = !enabled }
-
-// heapLess orders entries by (freeAt, index): the same total order the
-// reference scan's strict-< walk resolves to.
+// heapLess orders entries by (freeAt, index): the same total order an
+// argmin scan with a strict-< walk resolves to.
 func (b *Buffer) heapLess(x, y int32) bool {
 	if b.freeAt[x] != b.freeAt[y] {
 		return b.freeAt[x] < b.freeAt[y]
@@ -1060,18 +942,7 @@ func (b *Buffer) Reserve(cycle int64) int64 {
 			b.FillStallCycles += uint64(start - cycle)
 		}
 	}
-	best := 0
-	if !b.noFast {
-		// The heap root is the (freeAt, index)-minimal entry — exactly the
-		// way the reference scan below picks.
-		best = int(b.order[0])
-	} else {
-		for i, f := range b.freeAt {
-			if f < b.freeAt[best] {
-				best = i
-			}
-		}
-	}
+	best := int(b.order[0]) // the (freeAt, index)-minimal entry
 	if b.freeAt[best] > start {
 		b.FullStallCycles += uint64(b.freeAt[best] - start)
 		start = b.freeAt[best]

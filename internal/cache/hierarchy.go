@@ -95,15 +95,6 @@ type Hierarchy struct {
 	// simulated access times monotone with issue order.
 	dFreeAt int64
 
-	// itlbMemo and dtlbMemo memoize the last successful translation per
-	// TLB (page and hit way), so the common run of same-page accesses
-	// skips the port wait and the set scan. The fast path re-verifies the
-	// memoized entry and replays a hit's exact side effects, so the memo
-	// is invisible in results and statistics (equivalence-tested).
-	itlbMemo, dtlbMemo tlbMemo
-	// noTLBMemo disables the memo (test hook for the equivalence test).
-	noTLBMemo bool
-
 	// warmITLB/warmDTLB/warmDL0 memoize the warm path's last access per
 	// block. A repeat of the immediately preceding access is a state no-op
 	// (the touched way is already most-recent, residency cannot have
@@ -116,34 +107,7 @@ type Hierarchy struct {
 
 	// lineVer is the integrity oracle: the store version of each line.
 	lineVer map[uint64]uint32
-	// sigMemo is the lazy oracle cache: a small direct-mapped memo of line
-	// signatures, keyed by line address. A slot is trusted only while its
-	// recorded version is current, and the only writer of lineVer
-	// (CommitStore) refreshes the matching slot in place, so a memo hit can
-	// skip both the version lookup and the signature hash. Slots cover the
-	// line/page mix one access touches (DL0 line, UL1 line, TLB page).
-	sigMemo [sigMemoSlots]sigMemoEntry
-	// noSigMemo disables the signature memo (fast-vs-slow test hook).
-	noSigMemo bool
-	stats     HierarchyStats
-}
-
-// sigMemoSlots sizes the signature memo; must be a power of two.
-const sigMemoSlots = 8
-
-// sigMemoEntry is one memoized (line, version) -> signature binding.
-type sigMemoEntry struct {
-	line  uint64
-	sig   uint64
-	ver   uint32
-	valid bool
-}
-
-// tlbMemo is one TLB's last-translation memo.
-type tlbMemo struct {
-	page  uint64
-	way   int
-	valid bool
+	stats   HierarchyStats
 }
 
 // warmMemo is one block's last-warm-access memo (see the warmITLB field
@@ -236,79 +200,20 @@ func computeSig(line uint64, v uint32) uint64 {
 	return x
 }
 
-// sig returns the oracle line signature for a line at its current version,
-// lazily: the hash is computed on first touch and memoized until the line
-// is written (bumpLineVer refreshes the slot in place) or the slot is
-// reused for another line. A valid slot's version is always current —
-// CommitStore is the only version writer and it goes through bumpLineVer —
-// so a memo hit serves the signature without consulting the version map.
+// sig returns the oracle line signature for a line at its current version.
 func (h *Hierarchy) sig(line uint64) uint64 {
-	if !h.noSigMemo {
-		e := &h.sigMemo[(line>>6)&(sigMemoSlots-1)]
-		if e.valid && e.line == line {
-			return e.sig
-		}
-		v := h.lineVer[line]
-		s := computeSig(line, v)
-		*e = sigMemoEntry{line: line, sig: s, ver: v, valid: true}
-		return s
-	}
 	return computeSig(line, h.lineVer[line])
-}
-
-// bumpLineVer advances the oracle version of line (a committed store) and
-// refreshes the memoized signature so a stale one can never be served.
-func (h *Hierarchy) bumpLineVer(line uint64) {
-	v := h.lineVer[line] + 1
-	h.lineVer[line] = v
-	if !h.noSigMemo {
-		h.sigMemo[(line>>6)&(sigMemoSlots-1)] = sigMemoEntry{
-			line: line, sig: computeSig(line, v), ver: v, valid: true,
-		}
-	}
-}
-
-// SetFastPaths enables or disables every hierarchy-level fast path — the
-// cached set state of all five cache blocks and their sram arrays, the
-// per-set corrupt-count summary, the lazy signature memo, the STable
-// probe early-outs, and the fill/write-combining buffers' heap-backed
-// Reserve (enabled by default). The TLB translation memo has its own
-// equivalence-tested hook and is not affected. Benchmark-baseline and
-// equivalence-test hook; call right after construction.
-func (h *Hierarchy) SetFastPaths(enabled bool) {
-	for _, c := range []*Cache{h.IL0, h.DL0, h.UL1, h.ITLB, h.DTLB} {
-		c.SetFastPaths(enabled)
-	}
-	h.noSigMemo = !enabled
-	h.STab.SetFastPath(enabled)
-	h.FB.SetFastPath(enabled)
-	h.WCB.SetFastPath(enabled)
 }
 
 // translate runs addr through the given TLB and reports the cycle at which
 // translation is available plus whether the access walked (was delayed at
 // all). It is the single shared front half of FetchInst, Load and
-// CommitStore — one memo guard instead of three near-identical call sites.
-//
-// The memo fast path handles the dominant case — a repeat access to the
-// page this TLB translated last, with no port hold pending at cycle — in
-// O(1): LookupAt re-verifies the memoized entry and replays a hit's exact
-// side effects, and skipping WaitPorts is free because a hold-free cycle
-// waits zero and charges nothing. Anything else (page change, hold, memo
-// miss on a changed entry) falls back to the full path, which keeps the
-// memo exactly equivalent to always scanning.
-func (h *Hierarchy) translate(tlb *Cache, memo *tlbMemo, cycle int64, addr uint64) (t int64, walked bool) {
-	if memo.valid && !h.noTLBMemo && memo.page == tlb.LineAddr(addr) && !tlb.Busy(cycle) {
-		if tlb.LookupAt(cycle, addr, memo.way) {
-			return cycle, false
-		}
-	}
+// CommitStore.
+func (h *Hierarchy) translate(tlb *Cache, cycle int64, addr uint64) (t int64, walked bool) {
 	t = tlb.WaitPorts(cycle)
-	if way, hit := tlb.Lookup(t, addr); hit {
-		memo.page, memo.way, memo.valid = tlb.LineAddr(addr), way, true
+	if _, hit := tlb.Lookup(t, addr); hit {
 		return t, t != cycle
 	}
-	memo.valid = false // the walk's fill is not readable until after t
 	h.stats.TLBWalks++
 	t += int64(h.cfg.PageWalkCycles)
 	tlb.Fill(t, addr, h.sig(tlb.LineAddr(addr)))
@@ -395,20 +300,12 @@ func (h *Hierarchy) missFlow(l1 *Cache, cycle int64, addr uint64) int64 {
 // leaves the DL0 its version history is unreachable: the version restarts
 // at zero on refill, consistently on both the write and the compare side.
 // Dropping the record keeps the oracle map at DL0 size instead of one entry
-// per line ever stored. The GC runs on every configuration — including the
-// fast-path-disabled reference, whose map previously grew without bound —
-// because the version-reset argument above is independent of which lookup
-// path found the victim.
-func (h *Hierarchy) gcOracleLine(victim uint64) {
-	delete(h.lineVer, victim)
-	if e := &h.sigMemo[(victim>>6)&(sigMemoSlots-1)]; e.line == victim {
-		e.valid = false
-	}
-}
+// per line ever stored.
+func (h *Hierarchy) gcOracleLine(victim uint64) { delete(h.lineVer, victim) }
 
 // OracleLines reports the number of live integrity-oracle version records
 // (bounded-growth observability for tests: the GC above keeps it at DL0
-// size on every path).
+// size).
 func (h *Hierarchy) OracleLines() int { return len(h.lineVer) }
 
 // FetchResult reports an instruction fetch's timing.
@@ -423,7 +320,7 @@ type FetchResult struct {
 func (h *Hierarchy) FetchInst(cycle int64, pc uint64) FetchResult {
 	h.stats.Fetches++
 	var res FetchResult
-	t, walked := h.translate(h.ITLB, &h.itlbMemo, cycle, pc)
+	t, walked := h.translate(h.ITLB, cycle, pc)
 	res.Walked = walked
 	t = h.IL0.WaitPorts(t)
 	if way, hit := h.IL0.Lookup(t, pc); hit {
@@ -457,7 +354,7 @@ func (h *Hierarchy) Load(cycle int64, addr uint64) LoadResult {
 	if cycle < h.dFreeAt {
 		cycle = h.dFreeAt
 	}
-	t, walked := h.translate(h.DTLB, &h.dtlbMemo, cycle, addr)
+	t, walked := h.translate(h.DTLB, cycle, addr)
 	res.Walked = walked
 	t = h.DL0.WaitPorts(t)
 	h.dFreeAt = t + 1
@@ -534,13 +431,8 @@ func (h *Hierarchy) Load(cycle int64, addr uint64) LoadResult {
 	return res
 }
 
-// corruptedWays counts the violation-scrambled entries of a DL0 set — from
-// the sram array's eagerly maintained per-set summary on the fast path, by
-// rescanning the set's entries on the slow one.
+// corruptedWays counts the violation-scrambled entries of a DL0 set.
 func (h *Hierarchy) corruptedWays(set int) int {
-	if !h.noSigMemo { // the hierarchy-level fast-path switch
-		return h.DL0.Data().CorruptInSet(set * h.DL0.Config().Ways)
-	}
 	n := 0
 	for w := 0; w < h.DL0.Config().Ways; w++ {
 		if h.DL0.CorruptedAt(set, w) {
@@ -567,7 +459,7 @@ func (h *Hierarchy) CommitStore(cycle int64, addr uint64, data uint64) StoreResu
 	if cycle < h.dFreeAt {
 		cycle = h.dFreeAt
 	}
-	t, walked := h.translate(h.DTLB, &h.dtlbMemo, cycle, addr)
+	t, walked := h.translate(h.DTLB, cycle, addr)
 	res.Walked = walked
 	t = h.DL0.WaitPorts(t)
 	h.dFreeAt = t + 1
@@ -586,7 +478,7 @@ func (h *Hierarchy) CommitStore(cycle int64, addr uint64, data uint64) StoreResu
 		}
 	}
 	if hit {
-		h.bumpLineVer(line)
+		h.lineVer[line]++
 		h.DL0.WriteData(t, set, way, h.sig(line))
 		h.DL0.MarkDirty(set, way)
 		h.STab.Insert(t, word, set, data)

@@ -116,29 +116,38 @@ func TestWarmLeavesNoTimingState(t *testing.T) {
 }
 
 // TestOracleGCBounded: the integrity oracle's version map stays at DL0 size
-// under streaming store traffic on BOTH lookup paths — the
-// fast-path-disabled reference previously grew one record per line ever
-// stored (the ROADMAP open item this pins down).
+// under streaming store traffic (one record per line ever stored would
+// otherwise accumulate). After every store, each live record must belong
+// to a DL0-resident line — the only lines whose signatures are compared.
 func TestOracleGCBounded(t *testing.T) {
-	for _, fast := range []bool{true, false} {
-		h := MustNewHierarchy(DefaultHierarchyConfig())
-		h.SetFastPaths(fast)
-		h.SetMode(TimingMode{MemCycles: 20})
-		dl0Lines := h.DL0.Config().Sets * h.DL0.Config().Ways
-		cycle := int64(0)
-		const distinct = 4000 // >10x the DL0's 384 lines
-		for i := 0; i < distinct; i++ {
-			addr := uint64(0x1000_0000) + uint64(i)*64
-			res := h.CommitStore(cycle, addr, uint64(i))
+	h := MustNewHierarchy(DefaultHierarchyConfig())
+	h.SetMode(TimingMode{MemCycles: 20})
+	dl0Lines := h.DL0.Config().Sets * h.DL0.Config().Ways
+	cycle := int64(0)
+	const distinct = 4000 // >10x the DL0's 384 lines
+	for i := 0; i < distinct; i++ {
+		// The first store write-allocates the line; its fill is readable
+		// only from the next cycle, so the second store is the DL0 hit
+		// that bumps the line's oracle version.
+		addr := uint64(0x1000_0000) + uint64(i)*64
+		for _, a := range []uint64{addr, addr + 8} {
+			res := h.CommitStore(cycle, a, uint64(i))
 			cycle = res.DoneCycle + 50
 		}
-		if got := h.OracleLines(); got > dl0Lines {
-			t.Errorf("fast=%v: %d live oracle records after %d distinct stored lines (DL0 holds %d)",
-				fast, got, distinct, dl0Lines)
+		if h.OracleLines() == 0 {
+			t.Fatalf("store %d: no oracle records: the stream never hit the DL0", i)
 		}
-		// The GC must not break integrity: re-load a recent line cleanly.
-		if s := h.Stats(); s.IntegrityErrors != 0 {
-			t.Errorf("fast=%v: integrity errors under streaming stores: %d", fast, s.IntegrityErrors)
+		for line := range h.lineVer {
+			if !h.DL0.Peek(line) {
+				t.Fatalf("store %d: oracle record for line %#x, which is not in the DL0", i, line)
+			}
 		}
+	}
+	if got := h.OracleLines(); got > dl0Lines {
+		t.Errorf("%d live oracle records after %d distinct stored lines (DL0 holds %d)", got, distinct, dl0Lines)
+	}
+	// The GC must not break integrity.
+	if s := h.Stats(); s.IntegrityErrors != 0 {
+		t.Errorf("integrity errors under streaming stores: %d", s.IntegrityErrors)
 	}
 }

@@ -168,9 +168,9 @@ func (c *Cache) RestoreWarm(s *WarmState) error {
 // touched is provably at its reset value after a pure functional warm-up —
 // the integrity oracle stays empty (only timed stores bump line versions,
 // and the GC only deletes), the STable, buffers, port holds and data-side
-// serialization point never move, and the memos are result-invariant
-// caches — so CaptureWarm asserts those invariants instead of serializing
-// them, and RestoreWarm re-clears the caches.
+// serialization point never move, and the warm-path memos are
+// result-invariant caches — so CaptureWarm asserts those invariants instead
+// of serializing them, and RestoreWarm re-clears the memos.
 type HierarchyWarmState struct {
 	IL0, DL0, UL1, ITLB, DTLB *WarmState
 }
@@ -211,8 +211,8 @@ func (h *Hierarchy) CaptureWarm() (*HierarchyWarmState, error) {
 
 // RestoreWarm loads a warm snapshot into the hierarchy, which must be
 // freshly reset (fault maps installed, nothing else touched). The
-// result-invariant caches (TLB translation memos, warm memos, signature
-// memo) are cleared; they repopulate on demand with identical contents.
+// result-invariant warm-path memos are cleared; they repopulate on demand
+// with identical contents.
 func (h *Hierarchy) RestoreWarm(s *HierarchyWarmState) error {
 	for _, p := range []struct {
 		c *Cache
@@ -226,14 +226,9 @@ func (h *Hierarchy) RestoreWarm(s *HierarchyWarmState) error {
 		}
 	}
 	h.dFreeAt = 0
-	h.itlbMemo.valid = false
-	h.dtlbMemo.valid = false
 	h.warmITLB.valid = false
 	h.warmDTLB.valid = false
 	h.warmDL0.valid = false
-	for i := range h.sigMemo {
-		h.sigMemo[i] = sigMemoEntry{}
-	}
 	clear(h.lineVer)
 	return nil
 }

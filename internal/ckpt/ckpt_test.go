@@ -60,9 +60,8 @@ func TestWarmStateVccIndependence(t *testing.T) {
 	// Mode-irrelevant knobs must not leak into the snapshot either.
 	knobbed := core.DefaultConfig(450, circuit.ModeIRAW)
 	knobbed.ForcedN = 3
-	knobbed.DisableFastPaths = true
 	if got := ckpt.EncodeSnapshot(warmSnapshot(t, knobbed, tr, n)); !bytes.Equal(got, ref) {
-		t.Error("timing-only knobs (ForcedN, DisableFastPaths) changed the warm snapshot")
+		t.Error("timing-only knob ForcedN changed the warm snapshot")
 	}
 
 	// Fault maps do shape warm evolution (disabled lines change victim

@@ -113,16 +113,13 @@
 // # Struct-of-arrays slot state and issue width
 //
 // The in-flight instruction state (fetched but not yet issued) is held
-// struct-of-arrays: parallel slices for opcode, sources, destination,
-// produced register, address, PC, branch outcome and the per-instruction
-// census flags, indexed by a ring-allocated slot id (see slotArrays in
-// core.go for the lifetime invariants). The issue stage therefore scans
-// dense arrays, and the batched ready-set probe
-// (scoreboard.IssueReadySet + iq.MayIssueN) resolves up to Width IQ slots
-// in one scoreboard call per cycle; DisableFastPaths (or the fuzz-only
-// noPair hook) falls back to the sequential per-slot register walk, which
-// is also the path every probe miss re-derives its stall attribution
-// through — Results are bit-identical either way.
+// struct-of-arrays: parallel slices for opcode, register operands,
+// address, PC, branch outcome and the per-instruction census flags,
+// indexed by a ring-allocated slot id (see slotArrays in core.go for the
+// lifetime invariants). The issue stage walks the IQ head in order, one
+// slot at a time, through the same scoreboard register checks that derive
+// its stall attribution; there is one issue path at every width, and the
+// recorded goldens pin widths 1 through 4.
 //
 // Config.Width is a real 1..MaxWidth axis: it sizes the fetch group, the
 // fetch buffer (8 entries per width step) and the per-cycle issue bound.
@@ -207,21 +204,11 @@ type Config struct {
 	// Seed drives fault-map generation and any other stochastic state.
 	Seed uint64
 
-	// DisableFastPaths turns off the result-invariant hot-path caches —
-	// the hierarchy's cached set state (way masks, MSHR generations, lazy
-	// integrity-oracle signatures, STable probe early-outs, per-set sram
-	// summaries) and the core's dual-issue scoreboard probe — while
-	// keeping the event-driven engine. Results are bit-identical either
-	// way (equivalence-fuzzed); this is the benchmark baseline and
-	// equivalence-test hook.
-	DisableFastPaths bool
-
 	// MaxCycles guards against pipeline deadlock (0 = automatic bound).
 	MaxCycles int64
 }
 
-// MaxWidth is the largest fetch/issue width the engine models: the
-// ready-set probe's scratch and verdict mask are sized for it.
+// MaxWidth is the largest fetch/issue width the engine models.
 const MaxWidth = 4
 
 // DefaultConfig returns the modelled core at the given operating point.

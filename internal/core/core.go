@@ -57,17 +57,11 @@ type Core struct {
 
 	seq uint64 // value generator: each producer writes its sequence number
 
-	// noSkip forces strict cycle stepping (idle-cycle skipping disabled).
-	// Test hook: the equivalence fuzz drives both engines over the same
-	// inputs and asserts bit-identical Results. It also disables the
-	// dual-issue fast path, so the stepped engine is the seed reference.
+	// noSkip forces strict cycle stepping: idle-cycle skipping and the
+	// blocked-head memo are disabled. It is the engine's only reference
+	// hook: the equivalence fuzz drives both engines over the same inputs
+	// and asserts bit-identical Results.
 	noSkip bool
-
-	// noPair disables the batched ready-set fast path only (the multi-slot
-	// scoreboard probe); set by Config.DisableFastPaths and the
-	// equivalence fuzz. Every slot then takes the sequential register
-	// walk, exactly as the seed engine did.
-	noPair bool
 
 	// stop, when non-nil, is polled periodically from the run loop; a
 	// non-nil return aborts the run with that error. The experiment runner
@@ -79,10 +73,9 @@ type Core struct {
 	// Per-run scratch, owned by the core so back-to-back Run calls (and
 	// Reset-reused cores) allocate nothing on the hot path. slots is the
 	// struct-of-arrays in-flight instruction state (see slotArrays); fetch
-	// is a ring of slot ids; probeOps is the ready-set probe's scratch.
-	slots    slotArrays
-	fetch    fetchRing
-	probeOps [MaxWidth]scoreboard.IssueOp
+	// is a ring of slot ids.
+	slots slotArrays
+	fetch fetchRing
 }
 
 // New builds a core for cfg.
@@ -121,10 +114,6 @@ func (c *Core) reset() error {
 		return err
 	}
 	c.mem = mem
-	if c.cfg.DisableFastPaths {
-		c.mem.SetFastPaths(false)
-		c.noPair = true
-	}
 
 	c.regWriteAt = [isa.NumRegs]int64{}
 	c.regBypassVal = [isa.NumRegs]uint64{}
@@ -303,8 +292,8 @@ func (r *fetchRing) pop() {
 // slotArrays is the struct-of-arrays layout for the in-flight instruction
 // state — every instruction fetched but not yet issued. Each field the
 // per-cycle issue stage reads lives in its own parallel slice indexed by
-// slot id, so the batched ready-set probe and the register walk scan dense
-// arrays instead of chasing *trace.Inst pointers, and the per-instruction
+// slot id, so the register walk scans dense arrays instead of chasing
+// *trace.Inst pointers, and the per-instruction
 // census flags (delayed, mispred) are per-slot instead of per-trace-index
 // (the seed engine allocated and cleared two trace-length bool slices per
 // run).
@@ -322,11 +311,10 @@ func (r *fetchRing) pop() {
 //     which spans the mispred hand-off from predictAtFetch to tryIssue.
 type slotArrays struct {
 	op []isa.Op
-	// ops holds the operand quadruple (sources, destination, installed
-	// producer) — the exact record the batched ready-set probe consumes,
-	// packed 4 bytes per slot so the probe's gather and tryIssue's walk
-	// load one word instead of four parallel bytes.
-	ops     []scoreboard.IssueOp
+	// regs holds the register operands (sources, destination) packed per
+	// slot, so tryIssue's walk loads one record instead of three parallel
+	// bytes.
+	regs    []slotRegs
 	addr    []uint64
 	pc      []uint64
 	taken   []bool
@@ -342,7 +330,7 @@ func (s *slotArrays) init(capacity int) {
 	c := nextPow2(capacity)
 	if len(s.op) != c {
 		s.op = make([]isa.Op, c)
-		s.ops = make([]scoreboard.IssueOp, c)
+		s.regs = make([]slotRegs, c)
 		s.addr = make([]uint64, c)
 		s.pc = make([]uint64, c)
 		s.taken = make([]bool, c)
@@ -358,9 +346,7 @@ func (s *slotArrays) alloc(in *trace.Inst) int {
 	i := s.next & s.mask
 	s.next++
 	s.op[i] = in.Op
-	s.ops[i] = scoreboard.IssueOp{
-		S1: in.Src1, S2: in.Src2, D: in.Dst, Prod: producedDst(in),
-	}
+	s.regs[i] = slotRegs{in.Src1, in.Src2, in.Dst}
 	s.addr[i] = in.Addr
 	s.pc[i] = in.PC
 	s.taken[i] = in.Taken
@@ -368,6 +354,9 @@ func (s *slotArrays) alloc(in *trace.Inst) int {
 	s.delayed[i] = false
 	return i
 }
+
+// slotRegs is one in-flight instruction's register operands.
+type slotRegs struct{ s1, s2, dst isa.Reg }
 
 // nextPow2 returns the smallest power of two >= n (and >= 1).
 func nextPow2(n int) int {
@@ -553,12 +542,6 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 	var memoStall stats.StallKind
 	memoBlocked := -1
 
-	// prevIssued gates the ready-set probe: a cycle that follows a
-	// non-issuing cycle almost always has a blocked head, where the probe
-	// would be pure overhead. The gate is a heuristic, never a semantic:
-	// when it skips the probe the sequential walk derives the same outcome.
-	prevIssued := true
-
 	loopIters := 0
 	for issuedTotal < total {
 		if c.stop != nil && loopIters&1023 == 0 {
@@ -590,13 +573,6 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 			blockedRetry = memoUntil
 		} else {
 			memoValid = false
-			// verdicts carries the batched ready-set probe's per-slot
-			// scoreboard verdicts across loop iterations: bit 0 is the
-			// current head's verdict as if every older probed slot had
-			// issued; verdictN counts the bits still valid. Verdicts are
-			// consumed only while the older slots actually issue.
-			var verdicts uint32
-			verdictN := 0
 			for issued < c.cfg.Width {
 				if c.q.Occupancy() == 0 {
 					if issued == 0 && issuedTotal < total {
@@ -616,53 +592,10 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 					c.q.PopOldest()
 					run.IssuedNOOPs++
 					issued++
-					verdictN = 0 // the probed slots are no longer the head
 					continue
 				}
 				slot := int(e.Payload)
-				sbOK := int8(-1)
-				if verdictN > 0 {
-					sbOK = int8(verdicts & 1)
-					verdicts >>= 1
-					verdictN--
-				} else if issued == 0 && prevIssued && !c.noPair && !c.noSkip && c.cfg.Width >= 2 {
-					// Batched ready-set fast path: resolve up to Width IQ
-					// slots in one scoreboard probe over the SoA operand
-					// arrays. Younger slots' verdicts are evaluated as if
-					// the older ones had issued, so each successor that
-					// reaches the head reuses its bit instead of re-probing.
-					// The occupancy gate is re-applied per pop by the loop
-					// above; k only bounds how many slots are worth probing,
-					// and a k below 2 skips the probe outright (a lone head
-					// takes the sequential walk, exactly as the seed did).
-					k := c.cfg.Width
-					for k >= 2 && !c.q.MayIssueN(k) {
-						k--
-					}
-					if k >= 2 {
-						sl := &c.slots
-						n := 0
-						for i := 0; i < k; i++ {
-							// MayIssueN(k) guarantees occupancy >= k and
-							// DefaultConfigWidth keeps Width <= ICI, so
-							// Oldest(i) is non-nil throughout.
-							ei := c.q.Oldest(i)
-							if ei == nil || ei.NOOP {
-								break
-							}
-							c.probeOps[n] = sl.ops[int(ei.Payload)]
-							n++
-						}
-						if n >= 2 {
-							verdicts = c.sb.IssueReadySet(c.probeOps[:n])
-							verdictN = n
-							sbOK = int8(verdicts & 1)
-							verdicts >>= 1
-							verdictN--
-						}
-					}
-				}
-				reason, ok := c.tryIssue(cycle, slot, sbOK, &memIssued, &run, &fetchStallUntil, &awaitRedirect)
+				reason, ok := c.tryIssue(cycle, slot, &memIssued, &run, &fetchStallUntil, &awaitRedirect)
 				if !ok {
 					if issued == 0 {
 						stall = reason
@@ -682,7 +615,6 @@ func (c *Core) run(tr *trace.Trace) (*Result, error) {
 				}
 			}
 		}
-		prevIssued = issued > 0
 		if issued > 2 {
 			issued = 2
 		}
@@ -836,48 +768,40 @@ func (c *Core) predictAtFetch(cycle int64, slot int, in *trace.Inst, fetchStallU
 }
 
 // tryIssue attempts to issue the instruction in the given in-flight slot at
-// cycle; on failure it returns the stall attribution. sbOK carries the
-// slot's verdict from the batched ready-set probe: 1 (ready — the register
-// walk is skipped, the probe already performed it), 0 (not ready) or -1 (no
-// probe ran); anything but 1 takes the register walk, which re-derives the
-// verdict together with its stall attribution.
-func (c *Core) tryIssue(cycle int64, slot int, sbOK int8, memIssued *bool, run *stats.Run,
+// cycle; on failure it returns the stall attribution.
+func (c *Core) tryIssue(cycle int64, slot int, memIssued *bool, run *stats.Run,
 	fetchStallUntil *int64, awaitRedirect *int) (stats.StallKind, bool) {
 
 	s := &c.slots
 	op := s.op[slot]
-	o := s.ops[slot]
-	src1, src2, dst := o.S1, o.S2, o.D
-	if sbOK != 1 {
-		// Source readiness (the scoreboard's shift registers). A ready-set
-		// verdict of 0 lands here too: the walk re-derives the same failure
-		// with its stall attribution and delayed census.
-		for _, src := range [2]isa.Reg{src1, src2} {
-			if src == isa.RegNone {
-				continue
-			}
-			if c.sb.ReadReady(src) {
-				continue
-			}
-			if c.sb.IRAWBlocked(src) {
-				if !s.delayed[slot] {
-					s.delayed[slot] = true
-					run.DelayedByRFIRAW++
-				}
-				return stats.StallRFIRAW, false
-			}
-			if c.sb.LongPending(src) {
-				return stats.StallMemory, false
-			}
-			return stats.StallRAW, false
+	r := s.regs[slot]
+	src1, src2, dst := r.s1, r.s2, r.dst
+	// Source readiness (the scoreboard's shift registers).
+	for _, src := range [2]isa.Reg{src1, src2} {
+		if src == isa.RegNone {
+			continue
 		}
-		// Destination (WAW through the baseline view).
-		if dst != isa.RegNone && !c.sb.WriteReady(dst) {
-			if c.sb.LongPending(dst) {
-				return stats.StallMemory, false
-			}
-			return stats.StallRAW, false
+		if c.sb.ReadReady(src) {
+			continue
 		}
+		if c.sb.IRAWBlocked(src) {
+			if !s.delayed[slot] {
+				s.delayed[slot] = true
+				run.DelayedByRFIRAW++
+			}
+			return stats.StallRFIRAW, false
+		}
+		if c.sb.LongPending(src) {
+			return stats.StallMemory, false
+		}
+		return stats.StallRAW, false
+	}
+	// Destination (WAW through the baseline view).
+	if dst != isa.RegNone && !c.sb.WriteReady(dst) {
+		if c.sb.LongPending(dst) {
+			return stats.StallMemory, false
+		}
+		return stats.StallRAW, false
 	}
 	// Structural: one memory op per cycle; D-side port holds block issue.
 	if isa.IsMem(op) {
@@ -936,20 +860,6 @@ func (c *Core) tryIssue(cycle int64, slot int, sbOK int8, memIssued *bool, run *
 	return stats.StallNone, true
 }
 
-// producedDst returns the register an issuing instruction installs a
-// producer for, or RegNone: exactly the ops for which tryIssue's commit
-// half calls produce/produceLong. Stores, branches, calls and returns
-// leave the scoreboard untouched even if a trace gave them a destination;
-// any other op (including a fence) with a destination produces, matching
-// tryIssue's fallthrough case.
-func producedDst(in *trace.Inst) isa.Reg {
-	switch in.Op {
-	case isa.OpStore, isa.OpBranch, isa.OpCall, isa.OpReturn:
-		return isa.RegNone
-	}
-	return in.Dst
-}
-
 // issueRetryAt mirrors tryIssue's check sequence — with no side effects —
 // and returns the earliest cycle after `cycle` at which the blocked head
 // instruction's issue decision, or its stall attribution, could change by
@@ -973,8 +883,8 @@ func (c *Core) issueRetryAt(cycle int64, slot int) int64 {
 			next = t
 		}
 	}
-	o := s.ops[slot]
-	for _, src := range [2]isa.Reg{o.S1, o.S2} {
+	r := s.regs[slot]
+	for _, src := range [2]isa.Reg{r.s1, r.s2} {
 		if src == isa.RegNone {
 			continue
 		}
@@ -983,7 +893,7 @@ func (c *Core) issueRetryAt(cycle int64, slot int) int64 {
 			return next // the blocking source: later checks are not reached
 		}
 	}
-	if dst := o.D; dst != isa.RegNone && !c.sb.WriteReady(dst) {
+	if dst := r.dst; dst != isa.RegNone && !c.sb.WriteReady(dst) {
 		add(c.sb.NextChange(dst))
 		return next
 	}

@@ -122,104 +122,12 @@ func TestSkipEngineMatchesSteppedEngine(t *testing.T) {
 	}
 }
 
-// TestFastPathsMatchDisabledEngine fuzzes the PR-4 fast paths — the
-// hierarchy's cached set state (way masks, packed LRU, MSHR generations,
-// lazy oracle signatures, STable early-outs, per-set sram summaries) and
-// the dual-issue scoreboard probe — against the same event-driven engine
-// with Config.DisableFastPaths set: randomized (profile, voltage, mode, N,
-// faulty-bits) points must produce bit-identical Results, cold and warm.
-// Together with TestSkipEngineMatchesSteppedEngine (which pins the default
-// engine to strict cycle stepping) this chains fast paths -> plain
-// event-driven -> stepped seed reference.
-func TestFastPathsMatchDisabledEngine(t *testing.T) {
-	src := rng.New(0xFA57C0DE)
-	profiles := append(workload.Profiles(), workload.MemBound())
-	levels := circuit.Levels()
-	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW,
-		circuit.ModeFaultyBits, circuit.ModeExtraBypass}
-	iters := 30
-	if testing.Short() {
-		iters = 8
-	}
-	for i := 0; i < iters; i++ {
-		p := profiles[src.Intn(len(profiles))]
-		v := levels[src.Intn(len(levels))]
-		mode := modes[src.Intn(len(modes))]
-		insts := 1500 + src.Intn(3000)
-
-		cfg := DefaultConfig(v, mode)
-		if mode == circuit.ModeIRAW {
-			switch src.Intn(4) {
-			case 0:
-				cfg.ForcedN = 1 + src.Intn(3)
-			case 1:
-				cfg.CombineFaultyBits = true
-			case 2:
-				cfg.DisableAvoidance = true
-			}
-		}
-		tr := workload.Generate(p, insts, uint64(i)+4242)
-
-		fast := MustNew(cfg)
-		slowCfg := cfg
-		slowCfg.DisableFastPaths = true
-		slow := MustNew(slowCfg)
-		for pass := 0; pass < 2; pass++ {
-			fr, err := fast.Run(tr)
-			if err != nil {
-				t.Fatalf("iter %d pass %d (%s %v %v): fast paths: %v", i, pass, p.Name, v, mode, err)
-			}
-			sr, err := slow.Run(tr)
-			if err != nil {
-				t.Fatalf("iter %d pass %d (%s %v %v): disabled: %v", i, pass, p.Name, v, mode, err)
-			}
-			if !reflect.DeepEqual(fr, sr) {
-				t.Fatalf("iter %d pass %d (%s %v %v N=%d): fast paths change results\nfast:     %+v\ndisabled: %+v",
-					i, pass, p.Name, v, mode, cfg.ForcedN, fr, sr)
-			}
-		}
-	}
-}
-
-// TestPairProbeMatchesSequentialIssue isolates the dual-issue fast path:
-// identical runs with only the two-slot scoreboard probe toggled (noPair)
-// must be bit-identical — the probe may never change what issues when.
-func TestPairProbeMatchesSequentialIssue(t *testing.T) {
-	src := rng.New(0x2571)
-	profiles := append(workload.Profiles(), workload.MemBound())
-	levels := circuit.Levels()
-	for i := 0; i < 12; i++ {
-		p := profiles[src.Intn(len(profiles))]
-		v := levels[src.Intn(len(levels))]
-		cfg := DefaultConfig(v, circuit.ModeIRAW)
-		if i%3 == 0 {
-			cfg.Mode = circuit.ModeExtraBypass // writePipe > 1: port checks
-		}
-		tr := workload.Generate(p, 2000+src.Intn(2000), uint64(i)+777)
-		pair := MustNew(cfg)
-		seq := MustNew(cfg)
-		seq.noPair = true
-		pr, err := pair.Run(tr)
-		if err != nil {
-			t.Fatalf("iter %d: pair: %v", i, err)
-		}
-		sr, err := seq.Run(tr)
-		if err != nil {
-			t.Fatalf("iter %d: sequential: %v", i, err)
-		}
-		if !reflect.DeepEqual(pr, sr) {
-			t.Fatalf("iter %d (%s %v): pair probe changes results\npair: %+v\nseq:  %+v", i, p.Name, v, pr, sr)
-		}
-	}
-}
-
 // TestWidthsMatchReferenceEngine fuzzes the width axis: for every width in
-// 1..MaxWidth, the batched ready-set engine must be bit-identical to the
-// stepped reference engine (noSkip — the seed semantics, probe off) and to
-// the probe-disabled event-driven engine (noPair) on the same randomized
-// (profile, voltage, mode, N) points, cold and warm. Width 2 is covered by
-// the recorded golden; this extends the equivalence chain to the whole
-// axis.
+// 1..MaxWidth, the event-driven engine must be bit-identical to the
+// stepped reference engine (noSkip) on the same randomized (profile,
+// voltage, mode, N) points, cold and warm. The recorded goldens pin
+// widths 1 through 4; this extends the skip-vs-stepped equivalence to
+// random points along the whole axis.
 func TestWidthsMatchReferenceEngine(t *testing.T) {
 	src := rng.New(0x51DE)
 	profiles := append(workload.Profiles(), workload.MemBound())
@@ -246,8 +154,6 @@ func TestWidthsMatchReferenceEngine(t *testing.T) {
 		fast := MustNew(cfg)
 		stepped := MustNew(cfg)
 		stepped.noSkip = true
-		seq := MustNew(cfg)
-		seq.noPair = true
 		for pass := 0; pass < 2; pass++ {
 			fr, err := fast.Run(tr)
 			if err != nil {
@@ -257,17 +163,9 @@ func TestWidthsMatchReferenceEngine(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d pass %d (w=%d %s %v %v): stepped engine: %v", i, pass, width, p.Name, v, mode, err)
 			}
-			qr, err := seq.Run(tr)
-			if err != nil {
-				t.Fatalf("iter %d pass %d (w=%d %s %v %v): probe-off engine: %v", i, pass, width, p.Name, v, mode, err)
-			}
 			if !reflect.DeepEqual(fr, sr) {
 				t.Fatalf("iter %d pass %d (w=%d %s %v %v N=%d): fast vs stepped diverge\nfast:    %+v\nstepped: %+v",
 					i, pass, width, p.Name, v, mode, cfg.ForcedN, fr, sr)
-			}
-			if !reflect.DeepEqual(fr, qr) {
-				t.Fatalf("iter %d pass %d (w=%d %s %v %v N=%d): probe changes results\nprobe: %+v\noff:   %+v",
-					i, pass, width, p.Name, v, mode, cfg.ForcedN, fr, qr)
 			}
 		}
 	}
@@ -276,7 +174,7 @@ func TestWidthsMatchReferenceEngine(t *testing.T) {
 // TestWiderCoreIssuesMore pins the point of the width axis: on a compute
 // trace at nominal voltage, a 4-wide core must finish in strictly fewer
 // cycles than the 2-wide core, and the 1-wide core in strictly more — the
-// ready-set probe has to actually move extra instructions per cycle.
+// issue stage has to actually move extra instructions per cycle.
 func TestWiderCoreIssuesMore(t *testing.T) {
 	tr := workload.Generate(workload.SpecInt(), 20000, 7)
 	cycles := map[int]uint64{}

@@ -131,19 +131,6 @@ func (q *Queue) MayIssue() bool {
 	return occ >= q.threshold()
 }
 
-// MayIssueN reports whether the issue stage may consider the k oldest
-// instructions this cycle — the wide issue stage's gate (MayIssueN(1) is
-// exactly MayIssue). The j-th pop sees occupancy j lower, so the occupancy gate must hold at
-// occupancy-(k-1) too, exactly as the sequential issue loop would re-check
-// it after each pop.
-func (q *Queue) MayIssueN(k int) bool {
-	occ := q.Occupancy()
-	if occ < k || k < 1 {
-		return false
-	}
-	return q.n == 0 || occ-(k-1) >= q.threshold()
-}
-
 // GateBlocked reports whether issue is blocked *only* by the IRAW gate:
 // there are instructions (so a baseline queue would issue) but fewer than
 // the threshold. Callers use it for stall attribution.

@@ -268,35 +268,3 @@ func TestNewValidation(t *testing.T) {
 		}()
 	}
 }
-
-// TestMayIssueNMatchesSequentialGate holds the width-N gate to its
-// definition: MayIssueN(k) allows k pops exactly when a sequential loop
-// re-checking MayIssue after every pop would. MayIssueN(1) must agree with
-// MayIssue.
-func TestMayIssueNMatchesSequentialGate(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3} {
-		for k := 1; k <= 5; k++ {
-			q := New(Config{Size: 16, ICI: 4, AI: 2})
-			q.SetStabilizeCycles(n)
-			for occ := 0; occ <= 16; occ++ {
-				got := q.MayIssueN(k)
-				probe := *q // pops on a copy of the pointers
-				want := true
-				for j := 0; j < k; j++ {
-					if !probe.MayIssue() {
-						want = false
-						break
-					}
-					probe.PopOldest()
-				}
-				if got != want {
-					t.Fatalf("N=%d k=%d occ=%d: MayIssueN = %v, sequential gate says %v", n, k, occ, got, want)
-				}
-				if k == 1 && got != q.MayIssue() {
-					t.Fatalf("N=%d occ=%d: MayIssueN(1) = %v disagrees with MayIssue", n, occ, got)
-				}
-				q.Alloc(int64(occ), uint64(occ))
-			}
-		}
-	}
-}

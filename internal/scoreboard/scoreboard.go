@@ -284,49 +284,10 @@ func (sb *Scoreboard) WriteReady(r isa.Reg) bool {
 // IssueReady reports whether an instruction reading s1 and s2 and writing d
 // may issue this cycle as far as the scoreboard is concerned: both sources
 // pass the read view and the destination passes the write view, in one
-// probe. It is exactly ReadReady(s1) && ReadReady(s2) && WriteReady(d) —
-// the issue stage's fused common case, leaving the per-register walk for
-// stall attribution to the slow path.
+// probe. It is exactly ReadReady(s1) && ReadReady(s2) && WriteReady(d),
+// without the per-register stall attribution the issue stage derives.
 func (sb *Scoreboard) IssueReady(s1, s2, d isa.Reg) bool {
 	return sb.ReadReady(s1) && sb.ReadReady(s2) && sb.WriteReady(d)
-}
-
-// IssueOp is one issue-slot operand set for IssueReadySet: the two sources,
-// the destination, and Prod — the register the slot's issue would install a
-// producer for (RegNone for non-producing ops: stores, control, fences).
-type IssueOp struct {
-	S1, S2, D, Prod isa.Reg
-}
-
-// IssueReadySet resolves up to 32 in-order issue slots in one scoreboard
-// probe — the wide issue stage's fast path. Bit i of the result
-// is set iff slot i passes IssueReady *as if slots 0..i-1 had just issued*:
-// a slot whose source or destination overlaps any older slot's Prod is
-// blocked (intra-group RAW or WAW), because a freshly issued producer of
-// latency >= 1 is never read- or write-ready in its issue cycle, while no
-// other register's state changes when the older slots issue. Verdicts stop
-// at the first not-ready slot (in-order issue: younger bits stay 0). The
-// probe mutates nothing; sequentially probing IssueReady with each issue's
-// IssueProducer applied yields exactly the same bits — the property test
-// holds the two together.
-func (sb *Scoreboard) IssueReadySet(ops []IssueOp) uint32 {
-	var mask, fresh uint32 // fresh: registers produced by already-granted slots
-	for i := range ops {
-		op := &ops[i]
-		if op.S1 != isa.RegNone && fresh>>op.S1&1 == 1 ||
-			op.S2 != isa.RegNone && fresh>>op.S2&1 == 1 ||
-			op.D != isa.RegNone && fresh>>op.D&1 == 1 {
-			break
-		}
-		if !sb.IssueReady(op.S1, op.S2, op.D) {
-			break
-		}
-		mask |= 1 << uint(i)
-		if op.Prod != isa.RegNone {
-			fresh |= 1 << op.Prod
-		}
-	}
-	return mask
 }
 
 // IRAWBlocked reports whether a consumer of r is blocked *only* by the

@@ -259,3 +259,23 @@ func TestSubmitRejectsUnknownFields(t *testing.T) {
 		t.Errorf("valid submit: status %d, want 2xx", resp.StatusCode)
 	}
 }
+
+// TestSubmitRejectsOversizedSuite: a spec whose per-profile trace total
+// (insts_per_trace × seeds_per_profile) exceeds the admission bound is
+// refused with 400 before any trace is generated, even though each trace
+// on its own is within bounds.
+func TestSubmitRejectsOversizedSuite(t *testing.T) {
+	srv, base := newTestDaemon(t, ServerOpts{Workers: -1})
+	body := `{"insts_per_trace":2000000,"seeds_per_profile":64,"modes":["iraw"],"levels_mv":[500]}`
+	resp, err := http.Post(base+"/api/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("submit %s: status %d, want 400", body, resp.StatusCode)
+	}
+	if n := srv.Scheduler().Queued(); n != 0 {
+		t.Errorf("rejected submission queued %d cells", n)
+	}
+}

@@ -46,6 +46,11 @@ type SweepSpec struct {
 	Width int `json:"width,omitempty"`
 }
 
+// maxProfileInsts bounds the instructions one profile's traces may total
+// in an admitted spec; every spec the repository builds asks for at most
+// 200k.
+const maxProfileInsts = 100_000_000
+
 // Validate reports whether the spec is structurally runnable. It is the
 // admission check the sweep service applies to untrusted submissions, so
 // it rejects rather than clamps.
@@ -53,11 +58,15 @@ func (s SweepSpec) Validate() error {
 	if s.InstsPerTrace <= 0 {
 		return fmt.Errorf("sim: spec: insts_per_trace %d must be positive", s.InstsPerTrace)
 	}
-	if s.InstsPerTrace > 100_000_000 {
-		return fmt.Errorf("sim: spec: insts_per_trace %d is implausibly large", s.InstsPerTrace)
-	}
 	if s.SeedsPerProfile <= 0 || s.SeedsPerProfile > 64 {
 		return fmt.Errorf("sim: spec: seeds_per_profile %d out of range [1, 64]", s.SeedsPerProfile)
+	}
+	// The bound is on what one profile's traces hold in memory together,
+	// insts_per_trace × seeds_per_profile, compared by division so the
+	// product cannot overflow.
+	if s.InstsPerTrace > maxProfileInsts/s.SeedsPerProfile {
+		return fmt.Errorf("sim: spec: insts_per_trace %d × seeds_per_profile %d exceeds %d instructions per profile",
+			s.InstsPerTrace, s.SeedsPerProfile, maxProfileInsts)
 	}
 	if len(s.Modes) == 0 {
 		return fmt.Errorf("sim: spec: no modes")

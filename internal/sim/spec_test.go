@@ -68,14 +68,15 @@ func TestSweepSpecValidateRejects(t *testing.T) {
 		t.Fatalf("negative window (the sharding opt-out spelling) rejected: %v", err)
 	}
 	for name, mutate := range map[string]func(*SweepSpec){
-		"zero insts":     func(s *SweepSpec) { s.InstsPerTrace = 0 },
-		"huge insts":     func(s *SweepSpec) { s.InstsPerTrace = 1 << 40 },
-		"zero seeds":     func(s *SweepSpec) { s.SeedsPerProfile = 0 },
-		"no modes":       func(s *SweepSpec) { s.Modes = nil },
-		"unknown mode":   func(s *SweepSpec) { s.Modes = []string{"turbo"} },
-		"level too low":  func(s *SweepSpec) { s.LevelsMV = []int{300} },
-		"level too high": func(s *SweepSpec) { s.LevelsMV = []int{900} },
-		"bad width":      func(s *SweepSpec) { s.Width = core.MaxWidth + 1 },
+		"zero insts":       func(s *SweepSpec) { s.InstsPerTrace = 0 },
+		"huge insts":       func(s *SweepSpec) { s.InstsPerTrace = 1 << 40 },
+		"huge insts×seeds": func(s *SweepSpec) { s.InstsPerTrace, s.SeedsPerProfile = 2_000_000, 64 },
+		"zero seeds":       func(s *SweepSpec) { s.SeedsPerProfile = 0 },
+		"no modes":         func(s *SweepSpec) { s.Modes = nil },
+		"unknown mode":     func(s *SweepSpec) { s.Modes = []string{"turbo"} },
+		"level too low":    func(s *SweepSpec) { s.LevelsMV = []int{300} },
+		"level too high":   func(s *SweepSpec) { s.LevelsMV = []int{900} },
+		"bad width":        func(s *SweepSpec) { s.Width = core.MaxWidth + 1 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := good

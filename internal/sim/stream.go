@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -9,6 +10,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,6 +136,10 @@ func (r *Runner) cfgHash(cfg core.Config) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("sim: hashing config: %w", err)
 	}
+	// Splice the retired DisableFastPaths member back in (always false), as
+	// cellKey keeps its literal mode=0, so earlier journal keys stay valid.
+	i := bytes.LastIndex(blob, []byte(`,"MaxCycles":`))
+	blob = slices.Concat(blob[:i], []byte(`,"DisableFastPaths":false`), blob[i:])
 	h := sha256.Sum256(blob)
 	return journal.Key(hex.EncodeToString(h[:]), core.EngineVersion), nil
 }

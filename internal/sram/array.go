@@ -80,21 +80,12 @@ type Array struct {
 	// ready stamp without touching the summary, which keeps the bound
 	// conservative, never wrong.
 	setReady []int64
-	// corruptInSet counts scrambled entries per set, maintained eagerly by
-	// Write/scramble so callers (the hierarchy's replay-repair accounting)
-	// read it in O(1) instead of rescanning the set's entries.
-	corruptInSet []int32
-	// noFast disables consulting setReady on Read and the port-free
-	// access shortcut (test and benchmark hook: the slow path is the
-	// pre-summary behaviour, gated on maxReady alone). The summaries are
-	// maintained regardless, so the flag only selects which proof of
-	// stability the read consults.
-	noFast bool
 	// unlimited records ReadPorts == 0 && WritePorts == 0 at construction:
-	// such arrays never consult the per-cycle port counters, so fast-path
-	// accesses skip rolling them. portCycle is still rolled by every
-	// slow-path read, which is the only place scramble (its one consumer)
-	// can run.
+	// such arrays never consult the per-cycle port counters, so their
+	// accesses skip rolling them and their reads consult setReady. A
+	// port-limited array rolls the counters on every access and gates its
+	// reads on maxReady alone. portCycle is still rolled before every set
+	// walk, which is the only place scramble (its one consumer) can run.
 	unlimited bool
 	stats     Stats
 
@@ -115,21 +106,15 @@ func New(cfg Config) (*Array, error) {
 	}
 	sets := cfg.Entries / cfg.EntriesPerSet
 	return &Array{
-		cfg:          cfg,
-		data:         make([]byte, cfg.Entries*cfg.BytesPerEntry),
-		ready:        make([]int64, cfg.Entries),
-		written:      make([]int64, cfg.Entries),
-		corrupt:      make([]bool, cfg.Entries),
-		setReady:     make([]int64, sets),
-		corruptInSet: make([]int32, sets),
-		unlimited:    cfg.ReadPorts == 0 && cfg.WritePorts == 0,
+		cfg:       cfg,
+		data:      make([]byte, cfg.Entries*cfg.BytesPerEntry),
+		ready:     make([]int64, cfg.Entries),
+		written:   make([]int64, cfg.Entries),
+		corrupt:   make([]bool, cfg.Entries),
+		setReady:  make([]int64, sets),
+		unlimited: cfg.ReadPorts == 0 && cfg.WritePorts == 0,
 	}, nil
 }
-
-// SetFastPath enables or disables the per-set summary fast paths (enabled by
-// default). Intended for the fast-vs-slow equivalence tests and the
-// throughput benchmark baseline; call it right after construction.
-func (a *Array) SetFastPath(enabled bool) { a.noFast = !enabled }
 
 // MustNew is New for static configurations; it panics on config errors.
 func MustNew(cfg Config) *Array {
@@ -180,7 +165,7 @@ func (a *Array) Write(cycle int64, entry int, data []byte, interrupted bool, sta
 	if len(data) != a.cfg.BytesPerEntry {
 		panic(fmt.Sprintf("sram %q: write of %d bytes into %d-byte entry", a.cfg.Name, len(data), a.cfg.BytesPerEntry))
 	}
-	if a.noFast || !a.unlimited || a.DebugWrite != nil {
+	if !a.unlimited || a.DebugWrite != nil {
 		a.rollPorts(cycle)
 		if a.cfg.WritePorts > 0 && a.writesThisCycle >= a.cfg.WritePorts {
 			a.stats.PortConflicts++
@@ -192,11 +177,7 @@ func (a *Array) Write(cycle int64, entry int, data []byte, interrupted bool, sta
 		}
 	}
 	copy(a.slot(entry), data)
-	set := entry / a.cfg.EntriesPerSet
-	if a.corrupt[entry] {
-		a.corrupt[entry] = false
-		a.corruptInSet[set]--
-	}
+	a.corrupt[entry] = false
 	a.written[entry] = cycle
 	if interrupted {
 		if stabilizeCycles < 1 {
@@ -209,7 +190,7 @@ func (a *Array) Write(cycle int64, entry int, data []byte, interrupted bool, sta
 	if a.ready[entry] > a.maxReady {
 		a.maxReady = a.ready[entry]
 	}
-	if a.ready[entry] > a.setReady[set] {
+	if set := entry / a.cfg.EntriesPerSet; a.ready[entry] > a.setReady[set] {
 		a.setReady[set] = a.ready[entry]
 	}
 	a.stats.Writes++
@@ -223,10 +204,7 @@ func (a *Array) scramble(entry int) {
 	for i := range s {
 		s[i] ^= byte(0xA5 ^ (entry + i))
 	}
-	if !a.corrupt[entry] {
-		a.corrupt[entry] = true
-		a.corruptInSet[entry/a.cfg.EntriesPerSet]++
-	}
+	a.corrupt[entry] = true
 	a.ready[entry] = a.portCycle // destroyed cells settle (to wrong values)
 }
 
@@ -240,7 +218,7 @@ func (a *Array) scramble(entry int) {
 // means no read port was free.
 func (a *Array) Read(cycle int64, entry int) (data []byte, ok bool) {
 	// entry is bounds-checked by the slice accesses below (hot path).
-	if !a.noFast && a.unlimited {
+	if a.unlimited {
 		// Port-free fast reads: the per-cycle counters are never consulted
 		// for unlimited-port arrays, so they are not rolled.
 		a.stats.Reads++
@@ -341,14 +319,6 @@ func (a *Array) WrittenAt(entry int) int64 {
 func (a *Array) Corrupted(entry int) bool {
 	a.checkEntry(entry)
 	return a.corrupt[entry]
-}
-
-// CorruptInSet returns the number of violation-scrambled entries in the set
-// containing entry — the eagerly maintained summary, always equal to
-// counting Corrupted over the set.
-func (a *Array) CorruptInSet(entry int) int {
-	a.checkEntry(entry)
-	return int(a.corruptInSet[entry/a.cfg.EntriesPerSet])
 }
 
 // Peek returns a copy of entry's data without port accounting, violation

@@ -7,16 +7,17 @@ import (
 	"lowvcc/internal/rng"
 )
 
-// TestPerSetFastReadEquivalence fuzzes the per-set ready-bound fast read
-// against the maxReady-gated slow path: identical write/read sequences
-// (interrupted and not, in and out of stabilization windows, across sets)
-// must produce identical data, cleanliness, statistics and corruption
-// state — including the per-set corrupt counts, which are checked against
-// a direct scan.
+// TestPerSetFastReadEquivalence fuzzes the per-set ready-bound read of an
+// unlimited-port array against the maxReady-gated read of a port-limited
+// array whose limits are too high to ever conflict: identical write/read
+// sequences (interrupted and not, in and out of stabilization windows,
+// across sets) must produce identical data, cleanliness, statistics and
+// corruption state.
 func TestPerSetFastReadEquivalence(t *testing.T) {
 	cfg := Config{Name: "T", Entries: 24, BytesPerEntry: 8, EntriesPerSet: 4}
-	fast, slow := MustNew(cfg), MustNew(cfg)
-	slow.SetFastPath(false)
+	fast := MustNew(cfg)
+	cfg.ReadPorts, cfg.WritePorts = 1<<30, 1<<30
+	slow := MustNew(cfg)
 
 	src := rng.New(0x5E7FA57)
 	cycle := int64(1)
@@ -54,17 +55,6 @@ func TestPerSetFastReadEquivalence(t *testing.T) {
 			for e := 0; e < cfg.Entries; e++ {
 				if fast.Corrupted(e) != slow.Corrupted(e) {
 					t.Fatalf("op %d: Corrupted(%d) diverges", i, e)
-				}
-			}
-			for e := 0; e < cfg.Entries; e += cfg.EntriesPerSet {
-				scan := 0
-				for k := 0; k < cfg.EntriesPerSet; k++ {
-					if fast.Corrupted(e + k) {
-						scan++
-					}
-				}
-				if got := fast.CorruptInSet(e); got != scan {
-					t.Fatalf("op %d: CorruptInSet(%d) = %d, scan says %d", i, e, got, scan)
 				}
 			}
 		}

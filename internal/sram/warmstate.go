@@ -58,7 +58,6 @@ func (a *Array) RestoreWarm(s *WarmState) error {
 	a.maxReady = 0
 	for i := range a.setReady {
 		a.setReady[i] = 0
-		a.corruptInSet[i] = 0
 	}
 	for e := 0; e < a.cfg.Entries; e++ {
 		a.written[e] = 0

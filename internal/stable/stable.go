@@ -89,15 +89,6 @@ type Table struct {
 	lastTick       int64
 	seq            uint64
 
-	// validCount and setBits summarize the active entries so the per-load
-	// probe can early-out: validCount counts Valid entries; setBits has bit
-	// set&63 set when some valid entry maps to that set index (exact, not
-	// approximate — it is rebuilt whenever entries are invalidated). Both
-	// are maintained on every state change; noFast only gates whether Probe
-	// consults them (fast-vs-slow equivalence hook).
-	validCount int
-	setBits    uint64
-	noFast     bool
 	// replayBuf backs ProbeResult.Replay so matching probes do not
 	// allocate; see the Probe doc for the aliasing contract.
 	replayBuf []Entry
@@ -134,38 +125,9 @@ func (t *Table) SetStabilizeCycles(n int) {
 		for i := range t.entries {
 			t.entries[i].Valid = false
 		}
-		t.validCount, t.setBits = 0, 0
 		return
 	}
 	t.active = t.storesPerCycle * (n + 1)
-	// The summaries describe entries[0:active]. A resize moves that window
-	// over entries the seed logic deliberately leaves in place — a shrink
-	// hides valid entries, a later grow re-exposes them — so recount.
-	t.validCount = 0
-	for i := 0; i < t.active; i++ {
-		if t.entries[i].Valid {
-			t.validCount++
-		}
-	}
-	t.rebuildSetBits()
-}
-
-// SetFastPath enables or disables the probe early-outs (enabled by
-// default); the summaries stay maintained either way. Fast-vs-slow
-// equivalence hook.
-func (t *Table) SetFastPath(enabled bool) { t.noFast = !enabled }
-
-// rebuildSetBits recomputes the set-index bitmap after invalidations (a
-// cleared bit may still be covered by another valid entry, so clearing is
-// a recount, not a single-bit operation).
-func (t *Table) rebuildSetBits() {
-	var b uint64
-	for i := 0; i < t.active; i++ {
-		if t.entries[i].Valid {
-			b |= 1 << (uint(t.entries[i].Set) & 63)
-		}
-	}
-	t.setBits = b
 }
 
 // Active returns the number of enabled entries.
@@ -193,30 +155,12 @@ func (t *Table) tick(cycle int64) {
 	if elapsed > int64(t.active) {
 		elapsed = int64(t.active)
 	}
-	if t.validCount == 0 && t.next < t.active {
-		// Nothing in the window to invalidate: advance the cursor
-		// arithmetically — exactly where the walk below would leave it.
-		// (A stale out-of-window cursor after a SetStabilizeCycles shrink
-		// takes the walk, which also clears that slot as the seed did.)
-		t.next = (t.next + int(elapsed)*t.storesPerCycle) % t.active
-	} else {
-		dropped := false
-		for e := int64(0); e < elapsed*int64(t.storesPerCycle); e++ {
-			if t.entries[t.next].Valid {
-				t.entries[t.next].Valid = false
-				if t.next < t.active {
-					t.validCount--
-					dropped = true
-				}
-			}
-			// Modulo, not a wrap-on-equal: the cursor may start at or
-			// beyond active after a shrink and must renormalize exactly as
-			// the seed arithmetic did.
-			t.next = (t.next + 1) % t.active
-		}
-		if dropped {
-			t.rebuildSetBits()
-		}
+	for e := int64(0); e < elapsed*int64(t.storesPerCycle); e++ {
+		t.entries[t.next].Valid = false
+		// Modulo, not a wrap-on-equal: the cursor may start at or beyond
+		// active after a shrink and must renormalize exactly as the seed
+		// arithmetic did.
+		t.next = (t.next + 1) % t.active
 	}
 	// Rewind: invalidation walked the cursor; inserts this cycle reuse the
 	// slots just freed, so step back storesPerCycle positions.
@@ -232,21 +176,8 @@ func (t *Table) Insert(cycle int64, addr uint64, set int, data uint64) {
 	}
 	t.tick(cycle)
 	t.seq++
-	inWindow := t.next < t.active // a stale post-shrink cursor writes outside it
-	replacedValid := t.entries[t.next].Valid
 	t.entries[t.next] = Entry{Valid: true, Addr: addr, Set: set, Data: data, Cycle: cycle, seq: t.seq}
 	t.next = (t.next + 1) % t.active
-	if inWindow {
-		if replacedValid {
-			// The round-robin contract (at most storesPerCycle inserts per
-			// cycle) means the reused slot was just invalidated; keep the
-			// summaries right even if a caller overfills.
-			t.validCount--
-			t.rebuildSetBits()
-		}
-		t.validCount++
-		t.setBits |= 1 << (uint(set) & 63)
-	}
 	t.stats.Inserts++
 }
 
@@ -277,12 +208,6 @@ func (t *Table) Probe(cycle int64, addr uint64, set int) ProbeResult {
 	}
 	t.tick(cycle)
 	t.stats.Probes++
-	if !t.noFast && (t.validCount == 0 || t.setBits>>(uint(set)&63)&1 == 0) {
-		// Empty table, or no active entry maps to this set index: the scan
-		// below would find nothing. (setBits aliases sets mod 64; a bit hit
-		// just falls through to the exact scan.)
-		return ProbeResult{Kind: MatchNone}
-	}
 
 	// Find the oldest matching entry (full or set) and the newest full
 	// match (which holds the freshest data for forwarding).
@@ -315,11 +240,9 @@ func (t *Table) Probe(cycle int64, addr uint64, set int) ProbeResult {
 		if e.Valid && e.Set == set && e.seq >= oldestSeq {
 			replay = append(replay, *e)
 			e.Valid = false
-			t.validCount--
 		}
 	}
 	t.replayBuf = replay
-	t.rebuildSetBits()
 	for i := 1; i < len(replay); i++ {
 		for j := i; j > 0 && replay[j].seq < replay[j-1].seq; j-- {
 			replay[j], replay[j-1] = replay[j-1], replay[j]

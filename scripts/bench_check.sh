@@ -9,7 +9,7 @@
 # the two binaries run interleaved on the same machine:
 #
 #   - BenchmarkCoreThroughput        insts/s           (warm profile)
-#   - BenchmarkMemBoundThroughput    membound-insts/s  (mem-heavy fast path)
+#   - BenchmarkMemBoundThroughput    membound-insts/s  (memory-bound profile)
 #
 # Same-run interleaving removes the cross-day machine-load skew that
 # absolute comparisons against recorded numbers suffered from (BENCH_3
