@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"lowvcc/internal/circuit"
@@ -52,7 +53,7 @@ func main() {
 	flag.Parse()
 
 	spec := sim.SuiteSpec{InstsPerTrace: *insts, SeedsPerProfile: *seeds}
-	g := &gen{csv: *csv, spec: spec, breakdownMV: circuit.Millivolts(*mv),
+	g := &gen{w: os.Stdout, csv: *csv, spec: spec, breakdownMV: circuit.Millivolts(*mv),
 		server: *server, runner: runner}
 	if *server != "" && *fig != "11b" {
 		fmt.Fprintln(os.Stderr, "figures: -server only supports -fig 11b (the voltage-sweep figure)")
@@ -65,6 +66,7 @@ func main() {
 }
 
 type gen struct {
+	w           io.Writer // every table and plot renders here
 	csv         bool
 	spec        sim.SuiteSpec
 	breakdownMV circuit.Millivolts
@@ -86,13 +88,13 @@ func (g *gen) suite() []*trace.Trace {
 
 func (g *gen) emit(t *report.Table) error {
 	if g.csv {
-		return t.RenderCSV(os.Stdout)
+		return t.RenderCSV(g.w)
 	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(g.w); err != nil {
 		return err
 	}
-	fmt.Println()
-	return nil
+	_, err := fmt.Fprintln(g.w)
+	return err
 }
 
 func (g *gen) run(fig string) error {
@@ -144,7 +146,7 @@ func (g *gen) fig11a() error {
 // fig11bTable is the figure's stream table (shared by the local and
 // -server paths).
 func (g *gen) fig11bTable() (*report.StreamTable, error) {
-	return report.NewStreamTable(os.Stdout, g.csv,
+	return report.NewStreamTable(g.w, g.csv,
 		"Figure 11(b): IRAW frequency increase and performance gains",
 		"Vcc", "freq-gain", "perf-gain", "ipc-base", "ipc-iraw", "stall-cost")
 }
@@ -188,7 +190,7 @@ func (g *gen) serverFig11b() error {
 		fmt.Fprintf(os.Stderr, "figures: %d operating point(s) failed; rows marked FAIL\n", failed)
 	}
 	if !g.csv {
-		fmt.Println()
+		fmt.Fprintln(g.w)
 	}
 	return nil
 }
@@ -229,7 +231,7 @@ func (g *gen) fig11b() error {
 		return rowErr
 	}
 	if !g.csv {
-		fmt.Println()
+		fmt.Fprintln(g.w)
 	}
 	return nil
 }
@@ -425,10 +427,10 @@ func (g *gen) plots() error {
 	p1.AddSeries("12FO4", '*', logic)
 	p1.AddSeries("write+WL", 'w', write)
 	p1.AddSeries("read+WL", 'r', read)
-	if err := p1.Render(os.Stdout); err != nil {
+	if err := p1.Render(g.w); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(g.w)
 
 	f11 := sim.Figure11a()
 	base := make([]float64, len(f11))
@@ -446,10 +448,10 @@ func (g *gen) plots() error {
 	p2.AddSeries("24FO4", '*', fo24)
 	p2.AddSeries("baseline", 'b', base)
 	p2.AddSeries("IRAW", 'i', iraw)
-	if err := p2.Render(os.Stdout); err != nil {
+	if err := p2.Render(g.w); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(g.w)
 	return nil
 }
 
