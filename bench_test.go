@@ -30,6 +30,12 @@ func benchSuite() []*trace.Trace {
 	return sim.SuiteSpec{InstsPerTrace: 20000, SeedsPerProfile: 1}.Traces()
 }
 
+// emptyMemo resets the default runner behind the package-level
+// generators. Its cell memo would otherwise replay the cells of earlier
+// iterations and benchmarks, so the figure benchmarks call it at the top of
+// every iteration to keep pricing simulation.
+func emptyMemo() { *sim.Default() = sim.Runner{} }
+
 // BenchmarkFig1DelayModel regenerates Figure 1 (delay curves vs Vcc).
 func BenchmarkFig1DelayModel(b *testing.B) {
 	var rows []sim.Fig1Row
@@ -64,6 +70,7 @@ func BenchmarkFig11bSpeedup(b *testing.B) {
 	traces := benchSuite()
 	var rows []sim.Fig11bRow
 	for i := 0; i < b.N; i++ {
+		emptyMemo()
 		var err error
 		rows, err = sim.Figure11b(traces)
 		if err != nil {
@@ -88,6 +95,7 @@ func BenchmarkFig12EDP(b *testing.B) {
 	traces := benchSuite()
 	var rows []sim.Fig12Row
 	for i := 0; i < b.N; i++ {
+		emptyMemo()
 		var err error
 		rows, err = sim.Figure12(traces)
 		if err != nil {
@@ -112,6 +120,7 @@ func BenchmarkTable1Mechanisms(b *testing.B) {
 	traces := benchSuite()
 	var res *sim.Table1Result
 	for i := 0; i < b.N; i++ {
+		emptyMemo()
 		var err error
 		res, err = sim.Table1(traces, 500)
 		if err != nil {
@@ -137,6 +146,7 @@ func BenchmarkStallBreakdown575(b *testing.B) {
 	traces := benchSuite()
 	var bd *sim.BreakdownResult
 	for i := 0; i < b.N; i++ {
+		emptyMemo()
 		var err error
 		bd, err = sim.Breakdown(traces, 575)
 		if err != nil {
@@ -155,6 +165,7 @@ func BenchmarkBPStats(b *testing.B) {
 	traces := benchSuite()
 	var res *sim.BPStatsResult
 	for i := 0; i < b.N; i++ {
+		emptyMemo()
 		var err error
 		res, err = sim.BPStats(traces, 500)
 		if err != nil {
@@ -182,6 +193,7 @@ func BenchmarkEDP450Example(b *testing.B) {
 	traces := benchSuite()
 	var res *sim.EDP450Result
 	for i := 0; i < b.N; i++ {
+		emptyMemo()
 		var err error
 		res, err = sim.EDP450(traces)
 		if err != nil {
@@ -198,6 +210,7 @@ func BenchmarkNSweepAblation(b *testing.B) {
 	traces := benchSuite()
 	var rows []sim.NSweepRow
 	for i := 0; i < b.N; i++ {
+		emptyMemo()
 		var err error
 		rows, err = sim.NSweep(traces, 500, 3)
 		if err != nil {
@@ -216,6 +229,7 @@ func BenchmarkCompilerResched(b *testing.B) {
 	traces := benchSuite()
 	var res *sim.ReschedResult
 	for i := 0; i < b.N; i++ {
+		emptyMemo()
 		var err error
 		res, err = sim.CompilerResched(traces, 500, 8)
 		if err != nil {

@@ -71,7 +71,7 @@ func progressPrinter(w io.Writer, tool string) func(PointUpdate) {
 		default:
 			tag := ""
 			if u.Replayed {
-				tag = " [journal]"
+				tag = " [replayed]"
 			}
 			fmt.Fprintf(w, "%s: [%6.2fs] %3d/%d %s %s (%d window(s))%s\n",
 				tool, time.Since(start).Seconds(), u.Done, u.Total, u.Label, u.TraceName, u.Windows, tag)

@@ -153,7 +153,7 @@ func TestProgressPrinterFormat(t *testing.T) {
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
 	want := []*regexp.Regexp{
 		regexp.MustCompile(`^tool: \[ *\d+\.\d\ds\]   1/3 sweep 500mV iraw specint-1 \(1 window\(s\)\)$`),
-		regexp.MustCompile(`^tool: \[ *\d+\.\d\ds\]   2/3 sweep 400mV iraw specint-1 \(8 window\(s\)\) \[journal\]$`),
+		regexp.MustCompile(`^tool: \[ *\d+\.\d\ds\]   2/3 sweep 400mV iraw specint-1 \(8 window\(s\)\) \[replayed\]$`),
 		regexp.MustCompile(`^tool: \[ *\d+\.\d\ds\]   3/3 sweep 450mV iraw specint-1 FAILED: boom$`),
 	}
 	if len(lines) != len(want) {

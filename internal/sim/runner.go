@@ -11,6 +11,7 @@ import (
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/ckpt"
 	"lowvcc/internal/core"
+	"lowvcc/internal/journal"
 )
 
 // Runner executes independent simulation jobs across a bounded pool of
@@ -22,6 +23,12 @@ import (
 // collectors place cells by index and aggregate in a fixed order — so a
 // Runner with one worker and a Runner with N workers produce bit-identical
 // output for the same windowing configuration.
+//
+// A Runner remembers every cell it simulated successfully (a bounded
+// in-process memo keyed like the journal), so a later stream on the same
+// Runner replays a repeated cell instead of simulating it again. Results
+// are identical either way; a test that must observe simulation uses a
+// fresh Runner. A Runner must not be copied after first use.
 type Runner struct {
 	// Workers bounds concurrency; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
@@ -144,6 +151,56 @@ type Runner struct {
 	// ckptOnce/ckptMemo memoize the resolved store for CkptDir/JournalDir.
 	ckptOnce sync.Once
 	ckptMemo *ckpt.Store
+
+	// memo holds the stitched results of cells this runner already
+	// simulated, so a later stream replays them instead (see cellMemo).
+	memo cellMemo
+}
+
+// memoCap bounds a runner's cell memo. A Result is under 1 KB, so a full
+// memo stays near 4 MB; `figures -fig all` at its defaults needs 770.
+const memoCap = 4096
+
+// cellMemo is a runner's in-process result memo, keyed by the same
+// content address as the journal (cellKey): trace bytes, full core
+// configuration, engine version and windowing plan. Only successfully
+// stitched cells enter it. Results are stored and handed out by value —
+// core.Result holds no pointers — so no consumer can alias another's.
+// Past memoCap new results are served but not kept, like
+// workload.reschedCache.
+type cellMemo struct {
+	mu sync.Mutex
+	m  map[string]memoEntry
+}
+
+type memoEntry struct {
+	windows int
+	res     core.Result
+}
+
+// get returns a fresh journal entry for key when the memo holds it.
+func (m *cellMemo) get(key string) (*journal.Entry, bool) {
+	m.mu.Lock()
+	e, ok := m.m[key]
+	m.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	return &journal.Entry{Key: key, Windows: e.windows, Result: &e.res}, true
+}
+
+// put records a successful cell's stitched result, unless the memo is
+// full.
+func (m *cellMemo) put(key string, windows int, res *core.Result) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.m) >= memoCap {
+		return
+	}
+	if m.m == nil {
+		m.m = make(map[string]memoEntry)
+	}
+	m.m[key] = memoEntry{windows: windows, res: *res}
 }
 
 // pointConfig builds the core configuration for one operating point under

@@ -25,6 +25,18 @@
 //     cmd/vccsweep — render rows from it before the grid finishes);
 //   - Sweep collects SweepStream into the [mode][voltage] grid.
 //
+// Before simulating, Stream looks every cell up by its content address
+// (Runner.CellKey: trace bytes, full core configuration, engine version
+// and windowing plan): first in the on-disk journal when JournalDir is
+// set, then in the Runner's in-process memo of cells its earlier streams
+// simulated. A hit replays before the pool starts (PointUpdate.Replayed)
+// and is never simulated or fault-injected; a memo hit the journal lacks
+// is written to it. Only successful cells enter the memo, by value, and
+// it is bounded (memoCap): past the cap new results are served but not
+// kept. This is what makes `figures -fig all` simulate each distinct cell
+// once — Figure 12 reuses Figure 11(b)'s grid, and the ablations reuse
+// its default baseline/IRAW points.
+//
 // Concurrency conventions:
 //   - a Core is not goroutine-safe: exactly one Core per goroutine. The
 //     Runner's worker pool gives each worker its own Core and reuses it
@@ -169,8 +181,9 @@ func (s SuiteSpec) Traces() []*trace.Trace {
 }
 
 // defaultRunner backs the package-level experiment functions: a shared
-// GOMAXPROCS-sized pool. Runner carries no state between calls, so sharing
-// it is free; its determinism guarantee makes the sharing invisible.
+// GOMAXPROCS-sized pool. Its only state across calls is the cell memo,
+// which moves work and never numbers, so sharing it is invisible in the
+// results — and is what lets one figure reuse another's cells.
 var defaultRunner = &Runner{}
 
 // Default returns the runner behind the package-level experiment

@@ -32,9 +32,9 @@ type PointSpec struct {
 }
 
 // PointUpdate is one event on the result stream: a completed (point, trace)
-// cell — successfully, from the journal, or (with AllowPartial) as an
-// isolated failure — or, as the last update before the channel closes, the
-// sweep's terminal error.
+// cell — simulated, replayed from the journal or the runner's memo, or
+// (with AllowPartial) an isolated failure — or, as the last update before
+// the channel closes, the sweep's terminal error.
 type PointUpdate struct {
 	// Point and Trace locate the cell: specs[Point].Traces[Trace].
 	// Both are -1 on the terminal error update.
@@ -48,7 +48,8 @@ type PointUpdate struct {
 	Windows int
 	// Result is the cell's (stitched) result; nil when Err is set.
 	Result *core.Result
-	// Replayed reports that Result came from the journal, not simulation.
+	// Replayed reports that this stream did not simulate the cell: Result
+	// came from the journal or the runner's memo.
 	Replayed bool
 	// Err carries a failure. With Point >= 0 it is one cell's isolated
 	// *CellError (AllowPartial mode; the stream continues). With Point < 0
@@ -69,8 +70,8 @@ type cell struct {
 	results         []*core.Result
 	errs            []error
 	remaining       atomic.Int32
-	// key is the cell's journal content-address ("" when journaling is
-	// off); cached is its replayed entry when the journal already held it.
+	// key is the cell's content address in the journal and the runner's
+	// memo; cached is its replayed entry when either already held it.
 	key    string
 	cached *journal.Entry
 	// traceHash, warmKey and winInsts feed the warm-state checkpoint
@@ -115,8 +116,10 @@ func (cl *cell) firstErr() error {
 // *CellError, then closes. With AllowPartial, failures are isolated to
 // their cell: the failed cell emits an update with Err set and identity
 // intact, every other cell still runs, and only context cancellation is
-// terminal. With journaling enabled, cells whose results are already
-// recorded replay instantly (Replayed=true) before any simulation starts.
+// terminal. Cells whose results are already recorded — in the journal,
+// when journaling is enabled, or in the runner's memo of cells an earlier
+// stream on this Runner simulated — replay instantly (Replayed=true)
+// before any simulation starts.
 //
 // Consumers must drain the channel until it closes; abandoning it
 // mid-stream requires cancelling ctx (the producer drops sends once ctx is
@@ -259,8 +262,8 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 	// order. Job order is what makes strict-mode error reporting
 	// deterministic (the pool surfaces the lowest-index failure) and keeps
 	// consecutive jobs of one point adjacent, so the per-worker core-reuse
-	// cache keeps hitting. Journaled cells take no jobs: they replay
-	// before the pool starts.
+	// cache keeps hitting. Cells the journal or the runner's memo already
+	// hold take no jobs: they replay before the pool starts.
 	type jobRef struct {
 		cell *cell
 		win  int
@@ -269,48 +272,32 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 	var jobs []jobRef
 	var replayed []*cell
 	traceHashes := make(map[*trace.Trace]string)
-	hashOf := func(tr *trace.Trace) (string, error) {
-		th, ok := traceHashes[tr]
-		if !ok {
-			var err error
-			if th, err = traceHash(tr); err != nil {
-				return "", err
-			}
-			traceHashes[tr] = th
-		}
-		return th, nil
-	}
 	for p := range specs {
-		var pointKey, warmKey string
-		if jnl != nil {
-			k, err := r.cfgHash(specs[p].Cfg)
-			if err != nil {
-				emit(PointUpdate{Point: -1, Trace: -1, Err: err})
-				return
-			}
-			pointKey = k
+		pointKey, err := r.cfgHash(specs[p].Cfg)
+		if err != nil {
+			emit(PointUpdate{Point: -1, Trace: -1, Err: err})
+			return
 		}
+		var warmKey string
 		if st != nil {
 			warmKey = ckpt.WarmConfigKey(specs[p].Cfg)
 		}
 		for ti, tr := range specs[p].Traces {
 			cl := &cell{point: p, traceIdx: ti, name: tr.Name}
-			if jnl != nil || st != nil {
-				th, err := hashOf(tr)
-				if err != nil {
+			th, ok := traceHashes[tr]
+			if !ok {
+				if th, err = traceHash(tr); err != nil {
 					emit(PointUpdate{Point: -1, Trace: -1, Err: err})
 					return
 				}
-				cl.traceHash = th
+				traceHashes[tr] = th
 			}
-			if jnl != nil {
-				cl.key = r.cellKey(cl.traceHash, pointKey, len(tr.Insts))
-				if e, hit := jnl.Get(cl.key); hit {
-					cl.cached = e
-					cells = append(cells, cl)
-					replayed = append(replayed, cl)
-					continue
-				}
+			cl.traceHash = th
+			cl.key = r.cellKey(th, pointKey, len(tr.Insts))
+			if cl.cached = r.replay(jnl, cl.key); cl.cached != nil {
+				cells = append(cells, cl)
+				replayed = append(replayed, cl)
+				continue
 			}
 			win, warm := r.planFor(len(tr.Insts))
 			cl.winInsts = win
@@ -326,9 +313,8 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		}
 	}
 
-	// Journal replays first, in (point, trace) order: a resumed sweep
-	// streams its recovered prefix instantly, then simulates only the
-	// missing cells.
+	// Replays first, in (point, trace) order: a resumed sweep streams its
+	// recovered prefix instantly, then simulates only the missing cells.
 	for _, cl := range replayed {
 		emit(PointUpdate{
 			Point: cl.point, Trace: cl.traceIdx,
@@ -345,8 +331,9 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 	}
 
 	// finish decrements the cell's window countdown and, on the last
-	// window, stitches-and-emits (journaling the stitched result) or emits
-	// the cell's deterministic lowest-window error.
+	// window, stitches-and-emits (recording the stitched result in the memo
+	// and the journal) or emits the cell's deterministic lowest-window
+	// error. Failed cells are never recorded.
 	finish := func(cl *cell) {
 		if cl.remaining.Add(-1) != 0 {
 			return
@@ -361,6 +348,7 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 			return
 		}
 		res := core.MergeWindowResults(cl.name, cl.results)
+		r.memo.put(cl.key, len(cl.windows), res)
 		if jnl != nil {
 			e := &journal.Entry{Key: cl.key, Windows: len(cl.windows), Result: res}
 			if f := r.Faults.takeJournal(spec.Label, cl.name); f != nil {
@@ -405,6 +393,26 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		}
 		emit(u)
 	}
+}
+
+// replay looks key up in the journal (when one is open), then in the
+// runner's memo, and returns the recorded entry or nil. A memo hit the
+// journal lacks is written through, so the journal stays complete for
+// resumes and for workers sharing its directory.
+func (r *Runner) replay(jnl *journal.Journal, key string) *journal.Entry {
+	if jnl != nil {
+		if e, hit := jnl.Get(key); hit {
+			return e
+		}
+	}
+	e, hit := r.memo.get(key)
+	if !hit {
+		return nil
+	}
+	if jnl != nil {
+		_ = jnl.Put(e) // a cache write: losing it only costs re-simulation
+	}
+	return e
 }
 
 // workerCore is one worker's cached simulator, reused across consecutive
