@@ -281,15 +281,6 @@ func (sb *Scoreboard) WriteReady(r isa.Reg) bool {
 	return !e.longPending && sb.msbAfter(e.write, sb.now-e.stamp)
 }
 
-// IssueReady reports whether an instruction reading s1 and s2 and writing d
-// may issue this cycle as far as the scoreboard is concerned: both sources
-// pass the read view and the destination passes the write view, in one
-// probe. It is exactly ReadReady(s1) && ReadReady(s2) && WriteReady(d),
-// without the per-register stall attribution the issue stage derives.
-func (sb *Scoreboard) IssueReady(s1, s2, d isa.Reg) bool {
-	return sb.ReadReady(s1) && sb.ReadReady(s2) && sb.WriteReady(d)
-}
-
 // IRAWBlocked reports whether a consumer of r is blocked *only* by the
 // stabilization bubble: the value is available (a baseline machine would
 // issue) but the RF entry is still stabilizing. This distinguishes the
