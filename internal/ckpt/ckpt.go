@@ -62,7 +62,6 @@ import (
 	"sync/atomic"
 
 	"lowvcc/internal/cache"
-	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
 	"lowvcc/internal/journal"
 	"lowvcc/internal/predictor"
@@ -165,8 +164,7 @@ type warmCfg struct {
 // WarmConfigKey hashes the warm-relevant part of cfg.
 func WarmConfigKey(cfg core.Config) string {
 	w := warmCfg{Hierarchy: cfg.Hierarchy, Predictor: cfg.Predictor}
-	if cfg.Mode == circuit.ModeFaultyBits ||
-		(cfg.Mode == circuit.ModeIRAW && cfg.CombineFaultyBits) {
+	if core.InstallsFaultMaps(cfg) {
 		w.FaultMap = true
 		w.Seed = cfg.Seed
 		w.Sigma = cfg.FaultySigma

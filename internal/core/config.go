@@ -208,6 +208,59 @@ type Config struct {
 	MaxCycles int64
 }
 
+// AppliedPlan returns the clock plan a core built for cfg runs at: the
+// design mode's plan at cfg.Vcc under the mode's knobs (ForcedN,
+// CombineFaultyBits, FaultySigma) and cfg's circuit calibration. Besides
+// the fault maps (InstallsFaultMaps), the plan is everything a mode
+// changes in the timed engine; DisableAvoidance matters only while
+// IRAWActive. It returns New's error for a config New rejects.
+func AppliedPlan(cfg Config) (circuit.ClockPlan, error) {
+	if err := cfg.validate(); err != nil {
+		return circuit.ClockPlan{}, err
+	}
+	return cfg.planOn(cfg.model()), nil
+}
+
+// InstallsFaultMaps reports whether a core built for cfg disables the
+// cache lines that fail timing at the reduced margin: the Faulty-Bits
+// design, and IRAW combined with it (Section 4.4). The maps derive from
+// (Seed, FaultySigma).
+func InstallsFaultMaps(cfg Config) bool {
+	return cfg.Mode == circuit.ModeFaultyBits ||
+		(cfg.Mode == circuit.ModeIRAW && cfg.CombineFaultyBits)
+}
+
+// params is c's circuit calibration: the default unless Circuit overrides
+// it.
+func (c Config) params() circuit.Params {
+	if c.Circuit != nil {
+		return *c.Circuit
+	}
+	return circuit.DefaultParams()
+}
+
+// model builds c's circuit model.
+func (c Config) model() *circuit.Model { return circuit.NewModel(c.params()) }
+
+// planOn is AppliedPlan on an already-built model of c's calibration.
+func (c Config) planOn(m *circuit.Model) circuit.ClockPlan {
+	switch c.Mode {
+	case circuit.ModeIRAW:
+		switch {
+		case c.CombineFaultyBits:
+			return m.PlanIRAWFaultyBits(c.Vcc, c.FaultySigma)
+		case c.ForcedN > 0:
+			return m.PlanIRAWForcedN(c.Vcc, c.ForcedN)
+		default:
+			return m.PlanIRAW(c.Vcc)
+		}
+	case circuit.ModeFaultyBits:
+		return m.PlanFaultyBits(c.Vcc, c.FaultySigma)
+	default:
+		return m.Plan(c.Vcc, c.Mode)
+	}
+}
+
 // MaxWidth is the largest fetch/issue width the engine models.
 const MaxWidth = 4
 
@@ -278,6 +331,12 @@ func (c Config) validate() error {
 		if err := c.Circuit.Validate(); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
+	}
+	if c.Mode < circuit.ModeBaseline || c.Mode > circuit.ModeExtraBypass {
+		return fmt.Errorf("core: unknown mode %v", c.Mode)
+	}
+	if maxN := c.params().MaxStabilizeCycles; c.ForcedN < 0 || c.ForcedN > maxN {
+		return fmt.Errorf("core: ForcedN %d out of range [0, %d]", c.ForcedN, maxN)
 	}
 	return nil
 }

@@ -99,11 +99,7 @@ func New(cfg Config) (*Core, error) {
 func (c *Core) Reset() error { return c.reset() }
 
 func (c *Core) reset() error {
-	params := circuit.DefaultParams()
-	if c.cfg.Circuit != nil {
-		params = *c.cfg.Circuit
-	}
-	c.model = circuit.NewModel(params)
+	c.model = c.cfg.model()
 
 	c.sb = scoreboard.New(c.cfg.Scoreboard)
 	c.q = iq.New(c.cfg.IQ)
@@ -125,11 +121,8 @@ func (c *Core) reset() error {
 	c.fetch.init(c.cfg.Width)
 	c.slots.init(len(c.fetch.buf) + c.cfg.IQ.Size)
 
-	if err := c.applyPlan(c.cfg.Vcc); err != nil {
-		return err
-	}
-	if c.cfg.Mode == circuit.ModeFaultyBits ||
-		(c.cfg.Mode == circuit.ModeIRAW && c.cfg.CombineFaultyBits) {
+	c.applyPlan()
+	if InstallsFaultMaps(c.cfg) {
 		c.installFaultMaps()
 	}
 	return nil
@@ -147,24 +140,10 @@ func MustNew(cfg Config) *Core {
 // Plan returns the active clock plan.
 func (c *Core) Plan() circuit.ClockPlan { return c.plan }
 
-// applyPlan derives the clock plan for v and reconfigures every block —
-// exactly the Vcc controller's job in Sections 4.1.3, 4.2, 4.3 and 4.4.
-func (c *Core) applyPlan(v circuit.Millivolts) error {
-	switch c.cfg.Mode {
-	case circuit.ModeIRAW:
-		switch {
-		case c.cfg.CombineFaultyBits:
-			c.plan = c.model.PlanIRAWFaultyBits(v, c.cfg.FaultySigma)
-		case c.cfg.ForcedN > 0:
-			c.plan = c.model.PlanIRAWForcedN(v, c.cfg.ForcedN)
-		default:
-			c.plan = c.model.PlanIRAW(v)
-		}
-	case circuit.ModeFaultyBits:
-		c.plan = c.model.PlanFaultyBits(v, c.cfg.FaultySigma)
-	default:
-		c.plan = c.model.Plan(v, c.cfg.Mode)
-	}
+// applyPlan derives the clock plan at cfg.Vcc and reconfigures every block
+// — exactly the Vcc controller's job in Sections 4.1.3, 4.2, 4.3 and 4.4.
+func (c *Core) applyPlan() {
+	c.plan = c.cfg.planOn(c.model)
 
 	interrupted := c.plan.IRAWActive
 	n := c.plan.StabilizeCycles
@@ -195,7 +174,6 @@ func (c *Core) applyPlan(v circuit.Millivolts) error {
 	c.rf.SetWritePipeline(c.plan.WritePipelineCycles)
 	c.bypassLvl = int64(c.cfg.Scoreboard.BypassLevels)
 	c.writePipe = int64(c.plan.WritePipelineCycles)
-	return nil
 }
 
 // Reconfigure moves the core to a new Vcc level at run boundaries (the
@@ -206,7 +184,8 @@ func (c *Core) Reconfigure(v circuit.Millivolts) error {
 		return fmt.Errorf("core: invalid Vcc %v", v)
 	}
 	c.cfg.Vcc = v
-	return c.applyPlan(v)
+	c.applyPlan()
+	return nil
 }
 
 // installFaultMaps disables cache lines that fail timing at the reduced

@@ -18,7 +18,9 @@ import (
 // The memo tests run one Runner through two overlapping streams: a
 // baseline/IRAW sweep at memoLevels (8 cells), then RunPoint at the
 // default 500 mV IRAW point, whose 2 cells the sweep already simulated.
-var memoLevels = []circuit.Millivolts{600, 500}
+// Both levels keep IRAW active, so the sweep's 8 cells are distinct to
+// the engine (canonicalConfig).
+var memoLevels = []circuit.Millivolts{575, 500}
 
 func memoTraces() []*trace.Trace {
 	return []*trace.Trace{

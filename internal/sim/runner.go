@@ -26,9 +26,13 @@ import (
 //
 // A Runner remembers every cell it simulated successfully (a bounded
 // in-process memo keyed like the journal), so a later stream on the same
-// Runner replays a repeated cell instead of simulating it again. Results
-// are identical either way; a test that must observe simulation uses a
-// fresh Runner. A Runner must not be copied after first use.
+// Runner replays a repeated cell instead of simulating it again. A cell the
+// engine cannot tell apart from another (its canonical identity, see the
+// package doc) replays too, even on a fresh Runner when an equivalent
+// cell in the same stream simulated it. Results are identical either way;
+// a test that must observe simulation uses a fresh Runner and configs that
+// are their own canonical form. A Runner must not be copied after first
+// use.
 type Runner struct {
 	// Workers bounds concurrency; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int

@@ -37,6 +37,19 @@
 // once — Figure 12 reuses Figure 11(b)'s grid, and the ablations reuse
 // its default baseline/IRAW points.
 //
+// Every cell also has a canonical identity: the content address of the
+// baseline config when its own config installs no fault maps and applies
+// the baseline clock plan at its Vcc (core.AppliedPlan; at the model's
+// calibration, IRAW at 600–700 mV and Extra-Bypass at 625–700 mV). The
+// engine cannot tell such cells apart, so they simulate once. A cell
+// missing under its own key replays from the journal or memo under its
+// canonical key; within one stream, the first cell of a canonical key
+// leads and takes jobs, and later ones follow, emitting as replayed when
+// the leader stitches (a failed leader's followers fail with their own
+// identity). Either way the cell gets its own copy of the Result with
+// Plan re-derived from its config, recorded in the memo and the journal
+// under its own key — journal keys never change.
+//
 // Concurrency conventions:
 //   - a Core is not goroutine-safe: exactly one Core per goroutine. The
 //     Runner's worker pool gives each worker its own Core and reuses it

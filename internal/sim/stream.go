@@ -49,7 +49,8 @@ type PointUpdate struct {
 	// Result is the cell's (stitched) result; nil when Err is set.
 	Result *core.Result
 	// Replayed reports that this stream did not simulate the cell: Result
-	// came from the journal or the runner's memo.
+	// came from the journal or the runner's memo, or an equivalent cell in
+	// this stream simulated it (see the package doc's canonical identity).
 	Replayed bool
 	// Err carries a failure. With Point >= 0 it is one cell's isolated
 	// *CellError (AllowPartial mode; the stream continues). With Point < 0
@@ -71,9 +72,14 @@ type cell struct {
 	errs            []error
 	remaining       atomic.Int32
 	// key is the cell's content address in the journal and the runner's
-	// memo; cached is its replayed entry when either already held it.
-	key    string
-	cached *journal.Entry
+	// memo, canonKey its canonical identity's (canonicalConfig; equal to
+	// key when the cell is its own canonical form); cached is its replayed
+	// entry when either store already held either key.
+	key, canonKey string
+	cached        *journal.Entry
+	// followers are this stream's later cells with the same canonical key:
+	// they take no jobs and emit when this cell stitches.
+	followers []*cell
 	// traceHash, warmKey and winInsts feed the warm-state checkpoint
 	// store: the snapshot family identity and the boundary spacing
 	// (warmKey "" means checkpoints are off for this cell).
@@ -118,8 +124,10 @@ func (cl *cell) firstErr() error {
 // intact, every other cell still runs, and only context cancellation is
 // terminal. Cells whose results are already recorded — in the journal,
 // when journaling is enabled, or in the runner's memo of cells an earlier
-// stream on this Runner simulated — replay instantly (Replayed=true)
-// before any simulation starts.
+// stream on this Runner simulated, under their own or their canonical key
+// — replay instantly (Replayed=true) before any simulation starts. A cell
+// equivalent to an earlier cell of the same stream takes no jobs and
+// emits, Replayed, right after that cell.
 //
 // Consumers must drain the channel until it closes; abandoning it
 // mid-stream requires cancelling ctx (the producer drops sends once ctx is
@@ -145,6 +153,31 @@ func (r *Runner) cfgHash(cfg core.Config) (string, error) {
 	blob = slices.Concat(blob[:i], []byte(`,"DisableFastPaths":false`), blob[i:])
 	h := sha256.Sum256(blob)
 	return journal.Key(hex.EncodeToString(h[:]), core.EngineVersion), nil
+}
+
+// canonicalConfig returns the config whose cells the engine cannot tell
+// apart from cfg's: the baseline config at cfg's Vcc when cfg installs no
+// fault maps and its applied plan, Mode aside, is the baseline plan (IRAW
+// below its activation gain, Extra-Bypass where a write fits one cycle),
+// and cfg itself otherwise. The timed engine reads a mode only through
+// the applied plan and the fault maps, so both configs simulate
+// bit-identically apart from Result.Plan.Mode. The baseline form resets
+// every knob the baseline plan never reads, so a baseline config is its
+// own canonical form. A config the engine rejects keeps its own identity
+// and fails in simulation as before.
+func canonicalConfig(cfg core.Config) core.Config {
+	plan, err := core.AppliedPlan(cfg)
+	if err != nil || core.InstallsFaultMaps(cfg) {
+		return cfg
+	}
+	base := cfg
+	base.Mode, base.ForcedN, base.DisableAvoidance = circuit.ModeBaseline, 0, false
+	basePlan, err := core.AppliedPlan(base)
+	plan.Mode = circuit.ModeBaseline
+	if err != nil || plan != basePlan {
+		return cfg
+	}
+	return base
 }
 
 // cellKey assembles a cell's journal content address from its trace hash,
@@ -272,11 +305,19 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 	var jobs []jobRef
 	var replayed []*cell
 	traceHashes := make(map[*trace.Trace]string)
+	leaders := make(map[string]*cell)
 	for p := range specs {
 		pointKey, err := r.cfgHash(specs[p].Cfg)
 		if err != nil {
 			emit(PointUpdate{Point: -1, Trace: -1, Err: err})
 			return
+		}
+		canonPointKey := pointKey
+		if canon := canonicalConfig(specs[p].Cfg); canon != specs[p].Cfg {
+			if canonPointKey, err = r.cfgHash(canon); err != nil {
+				emit(PointUpdate{Point: -1, Trace: -1, Err: err})
+				return
+			}
 		}
 		var warmKey string
 		if st != nil {
@@ -294,11 +335,17 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 			}
 			cl.traceHash = th
 			cl.key = r.cellKey(th, pointKey, len(tr.Insts))
-			if cl.cached = r.replay(jnl, cl.key); cl.cached != nil {
-				cells = append(cells, cl)
+			cl.canonKey = r.cellKey(th, canonPointKey, len(tr.Insts))
+			cells = append(cells, cl)
+			if cl.cached = r.replay(jnl, specs[p].Cfg, cl.key, cl.canonKey); cl.cached != nil {
 				replayed = append(replayed, cl)
 				continue
 			}
+			if lead := leaders[cl.canonKey]; lead != nil {
+				lead.followers = append(lead.followers, cl)
+				continue
+			}
+			leaders[cl.canonKey] = cl
 			win, warm := r.planFor(len(tr.Insts))
 			cl.winInsts = win
 			cl.warmKey = warmKey
@@ -306,7 +353,6 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 			cl.results = make([]*core.Result, len(cl.windows))
 			cl.errs = make([]error, len(cl.windows))
 			cl.remaining.Store(int32(len(cl.windows)))
-			cells = append(cells, cl)
 			for w := range cl.windows {
 				jobs = append(jobs, jobRef{cl, w})
 			}
@@ -333,7 +379,8 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 	// finish decrements the cell's window countdown and, on the last
 	// window, stitches-and-emits (recording the stitched result in the memo
 	// and the journal) or emits the cell's deterministic lowest-window
-	// error. Failed cells are never recorded.
+	// error, then does the same for each of its followers under the
+	// follower's own identity. Failed cells are never recorded.
 	finish := func(cl *cell) {
 		if cl.remaining.Add(-1) != 0 {
 			return
@@ -345,6 +392,15 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 				Label: spec.Label, TraceName: cl.name,
 				Windows: len(cl.windows), Err: err,
 			})
+			for _, f := range cl.followers {
+				ce := *asCellError(err)
+				ce.Label, ce.Point, ce.Trace = specs[f.point].Label, f.point, f.traceIdx
+				emit(PointUpdate{
+					Point: f.point, Trace: f.traceIdx,
+					Label: ce.Label, TraceName: f.name,
+					Windows: len(cl.windows), Err: &ce,
+				})
+			}
 			return
 		}
 		res := core.MergeWindowResults(cl.name, cl.results)
@@ -364,6 +420,15 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 			Label: spec.Label, TraceName: cl.name,
 			Windows: len(cl.windows), Result: res,
 		})
+		for _, f := range cl.followers {
+			e := r.record(jnl, specs[f.point].Cfg, f.key, len(cl.windows), res)
+			emit(PointUpdate{
+				Point: f.point, Trace: f.traceIdx,
+				Label: specs[f.point].Label, TraceName: f.name,
+				Windows: e.Windows, Result: e.Result,
+				Replayed: true,
+			})
+		}
 	}
 
 	err := r.forEach(ctx, workers, len(jobs), func(worker, j int) error {
@@ -395,11 +460,43 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 	}
 }
 
-// replay looks key up in the journal (when one is open), then in the
+// replay looks a cell up under its requested key, then under its
+// canonical key, and returns the recorded entry for the requested key or
+// nil. A canonical hit is recorded under the requested key (record), so
+// the memo and the journal stay complete for resumes and for workers
+// sharing its directory.
+func (r *Runner) replay(jnl *journal.Journal, cfg core.Config, key, canonKey string) *journal.Entry {
+	if e := r.lookup(jnl, key); e != nil || canonKey == key {
+		return e
+	}
+	e := r.lookup(jnl, canonKey)
+	if e == nil {
+		return nil
+	}
+	return r.record(jnl, cfg, key, e.Windows, e.Result)
+}
+
+// record stores res, simulated for an equivalent config, as the result of
+// the cfg cell at key: a by-value copy whose Plan is re-derived from cfg
+// (the only field equivalent configs' Results differ in), put in the memo
+// and, when one is open, the journal.
+func (r *Runner) record(jnl *journal.Journal, cfg core.Config, key string, windows int, res *core.Result) *journal.Entry {
+	own := *res
+	// cfg has an equivalent, so canonicalConfig already derived its plan
+	// without error.
+	own.Plan, _ = core.AppliedPlan(cfg)
+	r.memo.put(key, windows, &own)
+	e := &journal.Entry{Key: key, Windows: windows, Result: &own}
+	if jnl != nil {
+		_ = jnl.Put(e) // a cache write: losing it only costs re-simulation
+	}
+	return e
+}
+
+// lookup finds key in the journal (when one is open), then in the
 // runner's memo, and returns the recorded entry or nil. A memo hit the
-// journal lacks is written through, so the journal stays complete for
-// resumes and for workers sharing its directory.
-func (r *Runner) replay(jnl *journal.Journal, key string) *journal.Entry {
+// journal lacks is written through.
+func (r *Runner) lookup(jnl *journal.Journal, key string) *journal.Entry {
 	if jnl != nil {
 		if e, hit := jnl.Get(key); hit {
 			return e
