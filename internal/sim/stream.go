@@ -482,8 +482,8 @@ func (r *Runner) replay(jnl *journal.Journal, cfg core.Config, key, canonKey str
 // and, when one is open, the journal.
 func (r *Runner) record(jnl *journal.Journal, cfg core.Config, key string, windows int, res *core.Result) *journal.Entry {
 	own := *res
-	// cfg has an equivalent, so canonicalConfig already derived its plan
-	// without error.
+	// An equivalent cell simulated successfully, so cfg is valid and its
+	// plan derives without error.
 	own.Plan, _ = core.AppliedPlan(cfg)
 	r.memo.put(key, windows, &own)
 	e := &journal.Entry{Key: key, Windows: windows, Result: &own}
