@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -80,10 +81,12 @@ func (o SchedulerOpts) withDefaults() SchedulerOpts {
 	return o
 }
 
-// cell lifecycle within a sweepJob.
+// cell lifecycle within a sweepJob. A following cell waits on the leader
+// of its canonical group instead of being leased (see canonGroup).
 const (
 	cellPending = iota
 	cellLeased
+	cellFollowing
 	cellDone
 	cellFailed
 )
@@ -92,6 +95,7 @@ type sweepJob struct {
 	id       string
 	spec     sim.SweepSpec
 	cells    []Cell
+	canon    []string // each cell's canonical key (sim.CellKeys.Canon)
 	state    []int
 	attempts []int
 	started  time.Time
@@ -106,6 +110,22 @@ type sweepJob struct {
 
 func (job *sweepJob) total() int     { return len(job.cells) }
 func (job *sweepJob) finished() bool { return job.done+job.failed == job.total() }
+
+// cellRef locates one cell of a sweep.
+type cellRef struct {
+	job   *sweepJob
+	index int
+}
+
+// canonGroup is the live cells of every sweep that share one canonical
+// key: cells the engine cannot tell apart. Only the leader, pending or
+// leased, is ever leased. When it completes, each follower completes as a
+// replay of its result; when it ends without one, the lead passes to the
+// first follower in a live sweep.
+type canonGroup struct {
+	leader    cellRef
+	followers []cellRef
+}
 
 type leaseState struct {
 	id     string
@@ -130,22 +150,30 @@ const completedRing = 4096
 // concurrent use; all methods may be called from HTTP handlers and worker
 // goroutines simultaneously. The scheduler itself never simulates — it
 // only hands out leases and reads completed results back from the journal.
+//
+// Cells are keyed twice: by journal key, under which results are recorded,
+// and by canonical key, which cells the engine cannot tell apart share
+// (sim.CellKeys). A cell whose canonical key has a pending or leased cell
+// in any live sweep follows that leader instead of being leased, and
+// completes with a copy of its result (sim.Follow), journaled under the
+// follower's own key.
 type Scheduler struct {
 	opts SchedulerOpts
 	jnl  *journal.Journal
 	lock *journal.Lock
 	now  func() time.Time // test hook
 
-	mu         sync.Mutex
-	idle       *sync.Cond // broadcast when leases/completing drain or state changes
-	sweeps     map[string]*sweepJob
-	order      []string // submission order; scheduling scans it FIFO
-	leases     map[string]*leaseState
-	completing int // Completes between lease removal and result recording
-	queued     int // pending + leased cells across all sweeps
-	draining   bool
-	closed     bool
-	seq        int
+	mu        sync.Mutex
+	idle      *sync.Cond // broadcast when leases/journalIO drain or state changes
+	sweeps    map[string]*sweepJob
+	order     []string               // submission order; scheduling scans it FIFO
+	groups    map[string]*canonGroup // live canonical groups by canonical key
+	leases    map[string]*leaseState
+	journalIO int // Submits and Completes doing journal IO off the lock
+	queued    int // pending + leased + following cells across all sweeps
+	draining  bool
+	closed    bool
+	seq       int
 
 	// Complete-dedup: lease IDs whose completion was already recorded.
 	// A retried Complete (dropped response, duplicated request) finds its
@@ -188,6 +216,7 @@ func NewScheduler(opts SchedulerOpts) (*Scheduler, string, error) {
 		lock:        lock,
 		now:         time.Now,
 		sweeps:      make(map[string]*sweepJob),
+		groups:      make(map[string]*canonGroup),
 		leases:      make(map[string]*leaseState),
 		completed:   make(map[string]struct{}),
 		buckets:     make(map[string]*tokenBucket),
@@ -204,25 +233,27 @@ func NewScheduler(opts SchedulerOpts) (*Scheduler, string, error) {
 func (s *Scheduler) Journal() *journal.Journal { return s.jnl }
 
 // expandSpec builds the sweep's cell grid in the canonical (mode, level,
-// trace) order and computes every cell's journal key. Pure function of the
+// trace) order and derives every cell's journal key and canonical key
+// through one sim.Keyer, which hashes each trace once. Pure function of the
 // spec — called outside the scheduler lock (trace materialization and
 // config hashing are the expensive parts).
-func expandSpec(id string, spec sim.SweepSpec) ([]Cell, error) {
+func expandSpec(id string, spec sim.SweepSpec) ([]Cell, []string, error) {
 	modes, err := spec.CircuitModes()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	traces := spec.Traces()
-	runner := spec.NewRunner()
+	keyer := spec.NewRunner().NewKeyer()
 	var cells []Cell
+	var canon []string
 	for mi, mode := range modes {
 		for _, v := range spec.Levels() {
 			cfg := spec.PointConfig(v, mode)
 			label := sim.SweepLabel(v, mode)
 			for ti, tr := range traces {
-				key, err := runner.CellKey(cfg, tr)
+				keys, err := keyer.Keys(cfg, tr)
 				if err != nil {
-					return nil, fmt.Errorf("service: keying %s %s: %w", label, tr.Name, err)
+					return nil, nil, fmt.Errorf("service: keying %s %s: %w", label, tr.Name, err)
 				}
 				cells = append(cells, Cell{
 					Sweep:     id,
@@ -232,21 +263,24 @@ func expandSpec(id string, spec sim.SweepSpec) ([]Cell, error) {
 					VccMV:     int(v),
 					TraceIdx:  ti,
 					TraceName: tr.Name,
-					Key:       key,
+					Key:       keys.Key,
 					Spec:      spec,
 				})
+				canon = append(canon, keys.Canon)
 			}
 		}
 	}
 	if len(cells) == 0 {
-		return nil, fmt.Errorf("service: spec expands to zero cells")
+		return nil, nil, fmt.Errorf("service: spec expands to zero cells")
 	}
-	return cells, nil
+	return cells, canon, nil
 }
 
 // Submit validates and enqueues a sweep, returning its ID. Cells whose
-// results are already journaled complete instantly as replays — a
-// restarted campaign only pays for the missing cells. Fails fast with
+// results are already journaled, under their own or their canonical key,
+// complete instantly as replays — a restarted campaign only pays for the
+// missing cells. A cell whose canonical key a live cell already holds
+// follows it (see Scheduler). Fails fast with
 // BusyError when the queue cannot absorb the new cells and ErrDraining
 // during shutdown. Submit bypasses per-client admission control; remote
 // submissions go through SubmitAs.
@@ -288,7 +322,7 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 	id := fmt.Sprintf("sweep-%d", s.seq)
 	s.mu.Unlock()
 
-	cells, err := expandSpec(id, spec)
+	cells, canon, err := expandSpec(id, spec)
 	if err != nil {
 		return "", err
 	}
@@ -300,22 +334,34 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 		}
 	}
 
-	// Replay scan outside the lock: journal reads are file IO. Entries
-	// found here are trusted — Get already ran the integrity check — and
-	// their cells complete at registration without ever being queued.
+	// Replay scan outside the lock: journal reads and canonical write-backs
+	// are file IO, which Drain waits for. Entries found here are trusted —
+	// Get already ran the integrity check — and their cells complete at
+	// registration without ever being queued.
+	s.mu.Lock()
+	if s.draining || s.closed {
+		s.mu.Unlock()
+		return "", ErrDraining
+	}
+	s.journalIO++
+	s.mu.Unlock()
 	type replay struct {
 		index int
 		res   *core.Result
 	}
 	var replays []replay
-	for _, c := range cells {
-		if ent, ok := s.jnl.Get(c.Key); ok {
-			replays = append(replays, replay{c.Index, ent.Result})
+	for i, c := range cells {
+		if res := s.replayCell(c, canon[i]); res != nil {
+			replays = append(replays, replay{i, res})
 		}
 	}
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer func() {
+		s.journalIO--
+		s.idle.Broadcast()
+		s.mu.Unlock()
+	}()
 	if s.draining || s.closed {
 		return "", ErrDraining
 	}
@@ -332,6 +378,7 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 		id:       id,
 		spec:     spec,
 		cells:    cells,
+		canon:    canon,
 		state:    make([]int, len(cells)),
 		attempts: make([]int, len(cells)),
 		started:  s.now(),
@@ -347,8 +394,95 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 		job.replayed++
 		s.emitLocked(job, s.cellEvent(job, r.index, r.res, true, "journal", ""))
 	}
+	for i, st := range job.state {
+		if st == cellPending {
+			s.joinGroupLocked(job, i)
+		}
+	}
 	s.maybeFinishLocked(job)
 	return id, nil
+}
+
+// replayCell looks cell c up in the journal under its own key, then under
+// its canonical key, and returns its recorded Result or nil. A canonical
+// hit is written back under c's own key (sim.Follow), so later scans and
+// resumes hit it directly.
+func (s *Scheduler) replayCell(c Cell, canon string) *core.Result {
+	if ent, ok := s.jnl.Get(c.Key); ok {
+		return ent.Result
+	}
+	if canon == c.Key {
+		return nil
+	}
+	ent, ok := s.jnl.Get(canon)
+	if !ok {
+		return nil
+	}
+	return s.recordAs(c, ent).Result
+}
+
+// recordAs returns the entry recording ent, the result of a cell with c's
+// canonical key, as c's own (sim.Follow), and journals it under c's key
+// unless ent already sits there.
+func (s *Scheduler) recordAs(c Cell, ent *journal.Entry) *journal.Entry {
+	// The spec passed validation at submit, so the config derives.
+	cfg, _ := c.config()
+	e := sim.Follow(cfg, c.Key, ent.Windows, ent.Result)
+	if c.Key != ent.Key {
+		_ = s.jnl.Put(e) // a cache write: losing it only costs another lookup
+	}
+	return e
+}
+
+// joinGroupLocked files a fresh cell under its canonical key: it leads a
+// new group, pending, or follows the live group's leader.
+func (s *Scheduler) joinGroupLocked(job *sweepJob, i int) {
+	key := job.canon[i]
+	if g := s.groups[key]; g != nil {
+		job.state[i] = cellFollowing
+		g.followers = append(g.followers, cellRef{job, i})
+		return
+	}
+	s.groups[key] = &canonGroup{leader: cellRef{job, i}}
+}
+
+// leaveGroupLocked removes a cell that ends without a result (out of
+// attempts, or its sweep ended) from its canonical group. A leader hands
+// the lead to its first follower in a live sweep, which turns pending and
+// is leased in its place; the others follow the new leader.
+func (s *Scheduler) leaveGroupLocked(job *sweepJob, i int) {
+	key := job.canon[i]
+	g := s.groups[key]
+	if g == nil {
+		return
+	}
+	ref := cellRef{job, i}
+	if g.leader != ref {
+		g.followers = slices.DeleteFunc(g.followers, func(f cellRef) bool { return f == ref })
+		return
+	}
+	for len(g.followers) > 0 {
+		next := g.followers[0]
+		g.followers = g.followers[1:]
+		if next.job.terminalState == "" {
+			g.leader = next
+			next.job.state[next.index] = cellPending
+			return
+		}
+	}
+	delete(s.groups, key)
+}
+
+// takeFollowersLocked ends the canonical group a completed cell led and
+// returns its followers, which complete with the leader's result.
+func (s *Scheduler) takeFollowersLocked(job *sweepJob, i int) []cellRef {
+	key := job.canon[i]
+	g := s.groups[key]
+	if g == nil || g.leader != (cellRef{job, i}) {
+		return nil
+	}
+	delete(s.groups, key)
+	return g.followers
 }
 
 // takeTokenLocked draws one submission token from client's bucket,
@@ -501,24 +635,24 @@ func (s *Scheduler) Complete(leaseID, worker, errMsg string, entry []byte) error
 	s.recordCompletedLocked(leaseID)
 	job := s.sweeps[ls.sweep]
 	cell := job.cells[ls.index]
-	// completing keeps Drain honest while the journal IO below runs
-	// outside the lock: the lease is gone but the cell isn't recorded yet.
-	s.completing++
+	// journalIO keeps Drain honest while the journal IO below runs outside
+	// the lock: the lease is gone but the cell isn't recorded yet, nor are
+	// the followers a completed leader journals.
+	s.journalIO++
 	s.mu.Unlock()
 
-	var res *core.Result
+	var ent *journal.Entry
 	readErr := ""
 	if errMsg == "" {
 		if len(entry) > 0 {
 			// Push-down: verify the uploaded bytes (sha256, length, key)
 			// before they touch the journal.
-			if ent, err := s.jnl.Admit(cell.Key, entry); err == nil {
-				res = ent.Result
-			} else {
+			var err error
+			if ent, err = s.jnl.Admit(cell.Key, entry); err != nil {
 				readErr = fmt.Sprintf("worker %s uploaded a corrupt entry for %s: %v", worker, cell.Key, err)
 			}
-		} else if ent, ok := s.jnl.Get(cell.Key); ok {
-			res = ent.Result
+		} else if e, ok := s.jnl.Get(cell.Key); ok {
+			ent = e
 		} else {
 			readErr = fmt.Sprintf("worker %s reported success but journal has no entry %s", worker, cell.Key)
 		}
@@ -526,11 +660,11 @@ func (s *Scheduler) Complete(leaseID, worker, errMsg string, entry []byte) error
 
 	s.mu.Lock()
 	defer func() {
-		s.jnl.Unpin(cell.Key)
-		s.completing--
+		s.journalIO--
 		s.idle.Broadcast()
 		s.mu.Unlock()
 	}()
+	s.jnl.Unpin(cell.Key)
 	if job.terminalState != "" {
 		// The sweep ended while we were off-lock (deadline, drain). The
 		// journaled result remains valid for future replays; nothing to
@@ -546,10 +680,44 @@ func (s *Scheduler) Complete(leaseID, worker, errMsg string, entry []byte) error
 		job.state[ls.index] = cellDone
 		job.done++
 		s.queued--
-		s.emitLocked(job, s.cellEvent(job, ls.index, res, false, worker, ""))
+		s.emitLocked(job, s.cellEvent(job, ls.index, ent.Result, false, worker, ""))
 		s.maybeFinishLocked(job)
+		if followers := s.takeFollowersLocked(job, ls.index); len(followers) > 0 {
+			s.mu.Unlock()
+			entries := s.followerEntries(followers, ent)
+			s.mu.Lock()
+			s.completeFollowersLocked(followers, entries, worker)
+		}
 	}
 	return nil
+}
+
+// followerEntries records the leader's entry ent as each follower's own
+// (recordAs) and returns the followers' entries. It runs off the lock: a
+// cell's identity never changes after submission.
+func (s *Scheduler) followerEntries(followers []cellRef, ent *journal.Entry) []*journal.Entry {
+	entries := make([]*journal.Entry, len(followers))
+	for i, f := range followers {
+		entries[i] = s.recordAs(f.job.cells[f.index], ent)
+	}
+	return entries
+}
+
+// completeFollowersLocked records each follower still in a live sweep as
+// done, replayed from the leader that worker simulated.
+func (s *Scheduler) completeFollowersLocked(followers []cellRef, entries []*journal.Entry, worker string) {
+	for i, f := range followers {
+		job := f.job
+		if job.terminalState != "" {
+			continue // ended off-lock; terminateLocked already counted it
+		}
+		job.state[f.index] = cellDone
+		job.done++
+		job.replayed++
+		s.queued--
+		s.emitLocked(job, s.cellEvent(job, f.index, entries[i].Result, true, worker, ""))
+		s.maybeFinishLocked(job)
+	}
 }
 
 // recordCompletedLocked remembers a completed lease ID for Complete
@@ -568,6 +736,7 @@ func (s *Scheduler) recordCompletedLocked(leaseID string) {
 func (s *Scheduler) failAttemptLocked(job *sweepJob, index int, reason string) {
 	job.attempts[index]++
 	if job.attempts[index] >= s.opts.MaxAttempts {
+		s.leaveGroupLocked(job, index)
 		job.state[index] = cellFailed
 		job.failed++
 		s.queued--
@@ -613,17 +782,19 @@ func (s *Scheduler) maybeFinishLocked(job *sweepJob) {
 	s.terminateLocked(job, state)
 }
 
-// terminateLocked moves the sweep to a terminal state: cells still pending
-// or leased are abandoned (their queue slots released), the terminal event
-// is emitted, and every subscriber channel closes.
+// terminateLocked moves the sweep to a terminal state: cells still
+// pending, leased or following are abandoned (their queue slots released,
+// the lead of their canonical groups passed to another live sweep), the
+// terminal event is emitted, and every subscriber channel closes.
 func (s *Scheduler) terminateLocked(job *sweepJob, state string) {
+	job.terminalState = state // first: no cell of this sweep takes a lead
 	for i, st := range job.state {
-		if st == cellPending || st == cellLeased {
+		if st == cellPending || st == cellLeased || st == cellFollowing {
+			s.leaveGroupLocked(job, i)
 			job.state[i] = cellFailed
 			s.queued--
 		}
 	}
-	job.terminalState = state
 	s.emitLocked(job, CellEvent{
 		Sweep:    job.id,
 		Index:    -1,
@@ -716,7 +887,8 @@ func (s *Scheduler) Status(sweepID string) (SweepStatus, error) {
 	}, nil
 }
 
-// Queued reports pending+leased cells (readiness endpoints, tests).
+// Queued reports pending, leased and following cells (readiness
+// endpoints, tests).
 func (s *Scheduler) Queued() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -807,7 +979,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	defer close(watchdog)
 
 	s.mu.Lock()
-	for (len(s.leases) > 0 || s.completing > 0) && ctx.Err() == nil {
+	for (len(s.leases) > 0 || s.journalIO > 0) && ctx.Err() == nil {
 		s.idle.Wait()
 	}
 	err := ctx.Err()

@@ -17,6 +17,21 @@
 // because both executions write the same bytes to the same address, and a
 // replayed cell is indistinguishable from a fresh one.
 //
+// Each cell also carries a canonical key (sim.CellKeys.Canon): cells the
+// engine cannot tell apart — at the model's calibration, IRAW at 600–700
+// mV and Extra-Bypass at 625–700 mV next to baseline at the same voltage —
+// share it. The scheduler leases one cell per canonical key at a time. A
+// cell whose canonical key is already pending or leased, in its own sweep
+// or another live one, follows that leader: it is never leased, and when
+// the leader completes it completes as a replay with a copy of the
+// leader's result, Plan re-derived from its own config (sim.Follow) and
+// journaled under its own key. If the leader runs out of attempts or its
+// sweep ends, one follower in a live sweep becomes the leader and is
+// leased. At submission, a cell missing from the journal under its own key
+// replays from its canonical key's entry the same way. Expansion keys a
+// sweep through one sim.Keyer, so each trace is hashed once per submission
+// (and once per lease on the worker); what remains is config hashing.
+//
 // Results reach the daemon one of two ways, both ending in the daemon's
 // own journal through the full integrity check. In-process workers write
 // the shared journal directly. External workers journal into a private
@@ -107,6 +122,7 @@ import (
 	"fmt"
 	"time"
 
+	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
 	"lowvcc/internal/sim"
 )
@@ -136,6 +152,16 @@ type Cell struct {
 	// Spec is the submitted sweep spec; the worker regenerates the trace
 	// and core configuration from it deterministically.
 	Spec sim.SweepSpec `json:"spec"`
+}
+
+// config regenerates the cell's core configuration from its spec — the
+// config its key was derived from.
+func (c Cell) config() (core.Config, error) {
+	mode, err := sim.ParseMode(c.Mode)
+	if err != nil {
+		return core.Config{}, err
+	}
+	return c.Spec.PointConfig(circuit.Millivolts(c.VccMV), mode), nil
 }
 
 // Lease is time-bounded permission to execute one cell. The holder must
@@ -173,9 +199,12 @@ type CellEvent struct {
 	TraceIdx  int    `json:"trace_idx,omitempty"`
 	TraceName string `json:"trace_name,omitempty"`
 
-	// Replayed marks a cell served from the journal without simulating.
+	// Replayed marks a cell completed without being leased: served from
+	// the journal (under its own or its canonical key), or a canonical
+	// follower completed with its leader's result.
 	Replayed bool `json:"replayed,omitempty"`
-	// Worker names who completed the cell (in-process slots are "local/N").
+	// Worker names who completed the cell (in-process slots are "local/N"):
+	// "journal" for a journal replay, the leader's worker for a follower.
 	Worker string `json:"worker,omitempty"`
 
 	// Result is the cell's simulation result (nil on failure and on the
@@ -197,7 +226,9 @@ type CellEvent struct {
 type SweepStatus struct {
 	ID string `json:"id"`
 	// State: "running", "done", "failed" (some cells exhausted their
-	// attempts) or "interrupted" (the daemon drained mid-sweep).
+	// attempts) or "interrupted" (the daemon drained mid-sweep). Replayed
+	// counts the done cells that were never leased: journal replays and
+	// canonical followers (CellEvent.Replayed).
 	State    string `json:"state"`
 	Done     int    `json:"done"`
 	Failed   int    `json:"failed"`

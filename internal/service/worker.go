@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"lowvcc/internal/circuit"
 	"lowvcc/internal/journal"
 	"lowvcc/internal/sim"
 )
@@ -208,7 +207,7 @@ func heartbeatLoop(ctx context.Context, cancel context.CancelFunc, src CellSourc
 // Runner.RunCell so the result journals under exactly the promised key.
 func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) error {
 	c := lease.Cell
-	mode, err := sim.ParseMode(c.Mode)
+	cfg, err := c.config()
 	if err != nil {
 		return err
 	}
@@ -220,7 +219,6 @@ func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) error {
 	if tr.Name != c.TraceName {
 		return fmt.Errorf("cell %d: trace %d is %q here, %q on the daemon (workload drift)", c.Index, c.TraceIdx, tr.Name, c.TraceName)
 	}
-	cfg := c.Spec.PointConfig(circuit.Millivolts(c.VccMV), mode)
 
 	// Push-down workers journal privately (fsync off: the daemon's journal
 	// is the durability boundary, this one is a scratch cache); in-process
@@ -238,14 +236,16 @@ func executeCell(ctx context.Context, lease *Lease, opts WorkerOpts) error {
 	r.Retries, r.RetryBackoff = opts.Retries, opts.RetryBackoff
 	r.Faults = opts.Faults
 
-	key, err := r.CellKey(cfg, tr)
+	// One Keyer for the check and the run: the trace hashes once.
+	k := r.NewKeyer()
+	keys, err := k.Keys(cfg, tr)
 	if err != nil {
 		return err
 	}
-	if key != c.Key {
-		return fmt.Errorf("cell %d: key mismatch (worker %s, daemon %s): engine or windowing drift — rebuild the worker", c.Index, key, c.Key)
+	if keys.Key != c.Key {
+		return fmt.Errorf("cell %d: key mismatch (worker %s, daemon %s): engine or windowing drift — rebuild the worker", c.Index, keys.Key, c.Key)
 	}
-	_, _, err = r.RunCell(ctx, c.Label, cfg, tr)
+	_, _, err = r.RunCell(ctx, k, c.Label, cfg, tr)
 	return err
 }
 

@@ -158,6 +158,45 @@ func TestCanonicalConfigUnbuildable(t *testing.T) {
 	}
 }
 
+// TestKeyerKeys: a Keyer derives CellKey's exact bytes and, as the
+// canonical key, CellKey of the canonical config, for every level and mode
+// and under a windowed plan — hashing each trace and each config once.
+func TestKeyerKeys(t *testing.T) {
+	traces := memoTraces()
+	for _, r := range []*Runner{{}, {WindowInsts: 500, Width: 3}} {
+		k := r.NewKeyer()
+		for _, mode := range allModes {
+			for _, v := range circuit.Levels() {
+				cfg := r.pointConfig(v, mode)
+				for _, tr := range traces {
+					keys, err := k.Keys(cfg, tr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					key, err := r.CellKey(cfg, tr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					canon, err := r.CellKey(canonicalConfig(cfg), tr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if keys.Key != key || keys.Canon != canon {
+						t.Fatalf("%v %v %s: Keys = %+v, want {%s %s}", v, mode, tr.Name, keys, key, canon)
+					}
+					if (keys.Canon == keys.Key) != (canonicalConfig(cfg) == cfg) {
+						t.Fatalf("%v %v: canonical key equality disagrees with canonicalConfig", v, mode)
+					}
+				}
+			}
+		}
+		if len(k.traces) != len(traces) || len(k.points) != len(allModes)*len(circuit.Levels()) {
+			t.Fatalf("Keyer hashed %d traces and %d configs, want %d and %d",
+				len(k.traces), len(k.points), len(traces), len(allModes)*len(circuit.Levels()))
+		}
+	}
+}
+
 // canonLevels is a grid where IRAW at 600 mV is baseline-equivalent and at
 // 575 mV is not: of its 8 cells, the 2 IRAW@600 cells follow their
 // baseline leaders.

@@ -47,7 +47,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 	ctx := context.Background()
 
 	ref, _, err := (&Runner{Workers: 2, WindowInsts: 15_000, DisableCheckpoints: true}).
-		RunCell(ctx, "ref", cfg, tr)
+		RunCell(ctx, nil, "ref", cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		res, _, err := (&Runner{Workers: 2, WindowInsts: 15_000, CkptStore: st}).
-			RunCell(ctx, "ckpt", cfg, tr)
+			RunCell(ctx, nil, "ckpt", cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 	before := st.Stats().Captures
 	cfg2 := core.DefaultConfig(650, circuit.ModeBaseline)
 	if _, _, err := (&Runner{Workers: 2, WindowInsts: 15_000, CkptStore: st}).
-		RunCell(ctx, "ckpt-650", cfg2, tr); err != nil {
+		RunCell(ctx, nil, "ckpt-650", cfg2, tr); err != nil {
 		t.Fatal(err)
 	}
 	if after := st.Stats().Captures; after != before {

@@ -50,6 +50,13 @@
 // Plan re-derived from its config, recorded in the memo and the journal
 // under its own key — journal keys never change.
 //
+// Both keys come from a Keyer (CellKeys), which hashes each trace and each
+// config once in its lifetime. A stream keys its cells through one; the
+// sweep daemon (internal/service) keys each submission through one, and
+// its workers check and run each lease through one, so neither hashes a
+// trace per cell. Follow is the one re-derivation of a follower's Result
+// that the stream and the daemon share.
+//
 // Concurrency conventions:
 //   - a Core is not goroutine-safe: exactly one Core per goroutine. The
 //     Runner's worker pool gives each worker its own Core and reuses it

@@ -131,7 +131,7 @@ func TestCellKeyMatchesJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, replayed, err := r.RunCell(t.Context(), SweepLabel(500, circuit.ModeIRAW), cfg, tr)
+	res, replayed, err := r.RunCell(t.Context(), nil, SweepLabel(500, circuit.ModeIRAW), cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestCellKeyMatchesJournal(t *testing.T) {
 	// Second run replays rather than re-simulating, bit-identical.
 	r2 := spec.NewRunner()
 	r2.JournalDir = dir
-	res2, replayed2, err := r2.RunCell(t.Context(), "replay", cfg, tr)
+	res2, replayed2, err := r2.RunCell(t.Context(), nil, "replay", cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func (cl *cell) firstErr() error {
 // done, so cancellation drains promptly).
 func (r *Runner) Stream(ctx context.Context, specs []PointSpec) <-chan PointUpdate {
 	ch := make(chan PointUpdate)
-	go r.stream(ctx, specs, ch)
+	go r.stream(ctx, r.NewKeyer(), specs, ch)
 	return ch
 }
 
@@ -142,7 +142,7 @@ func (r *Runner) Stream(ctx context.Context, specs []PointSpec) <-chan PointUpda
 // the full core configuration and the engine version. The windowing plan
 // joins at the cell key — it resolves per trace (planFor), so it cannot
 // live in a per-point hash.
-func (r *Runner) cfgHash(cfg core.Config) (string, error) {
+func cfgHash(cfg core.Config) (string, error) {
 	blob, err := json.Marshal(cfg)
 	if err != nil {
 		return "", fmt.Errorf("sim: hashing config: %w", err)
@@ -200,24 +200,104 @@ func traceHash(t *trace.Trace) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// CellKey returns the journal content address the (cfg, tr) cell's
-// stitched Result is recorded under given this runner's windowing plan —
-// the exact key Stream computes internally. External schedulers
-// (internal/service) use it to detect already-journaled cells before
-// leasing any work, and workers use it to verify that their engine build
-// and configuration agree with the daemon that granted the lease: a key
-// mismatch means the two binaries would simulate different numbers, so
-// the cell must not run.
-func (r *Runner) CellKey(cfg core.Config, tr *trace.Trace) (string, error) {
-	pointKey, err := r.cfgHash(cfg)
+// CellKeys are one cell's two content addresses under a runner's
+// windowing plan.
+type CellKeys struct {
+	// Key is the journal content address the cell's stitched Result is
+	// recorded under (Runner.CellKey).
+	Key string
+	// Canon is the key of the cell's canonical identity: the key of the
+	// baseline cell the engine cannot tell it apart from, or Key itself
+	// when the cell is its own canonical form.
+	Canon string
+}
+
+// Keyer derives cell keys under one runner's windowing plan. It hashes
+// each distinct trace, and each distinct config with its canonical form,
+// once in its lifetime, so keying a grid of P points over T traces costs T
+// trace hashes rather than P×T. It keeps every hash it made until it is
+// dropped: make one per stream, submission or lease. A Keyer is not safe
+// for concurrent use.
+type Keyer struct {
+	r      *Runner
+	traces map[*trace.Trace]string
+	points map[core.Config]pointKeys
+}
+
+// pointKeys are one config's content hash and its canonical form's.
+type pointKeys struct{ key, canon string }
+
+// NewKeyer returns a Keyer for r's windowing plan.
+func (r *Runner) NewKeyer() *Keyer {
+	return &Keyer{r: r, traces: make(map[*trace.Trace]string), points: make(map[core.Config]pointKeys)}
+}
+
+// Keys derives the (cfg, tr) cell's requested and canonical keys.
+func (k *Keyer) Keys(cfg core.Config, tr *trace.Trace) (CellKeys, error) {
+	pk, err := k.point(cfg)
 	if err != nil {
-		return "", err
+		return CellKeys{}, err
+	}
+	th, err := k.trace(tr)
+	if err != nil {
+		return CellKeys{}, err
+	}
+	return k.r.cellKeys(th, pk, len(tr.Insts)), nil
+}
+
+// point returns cfg's point keys, hashing cfg and its canonical form on
+// first use.
+func (k *Keyer) point(cfg core.Config) (pointKeys, error) {
+	if pk, ok := k.points[cfg]; ok {
+		return pk, nil
+	}
+	key, err := cfgHash(cfg)
+	if err != nil {
+		return pointKeys{}, err
+	}
+	pk := pointKeys{key, key}
+	if canon := canonicalConfig(cfg); canon != cfg {
+		if pk.canon, err = cfgHash(canon); err != nil {
+			return pointKeys{}, err
+		}
+	}
+	k.points[cfg] = pk
+	return pk, nil
+}
+
+// trace returns tr's content hash, hashing it on first use.
+func (k *Keyer) trace(tr *trace.Trace) (string, error) {
+	if th, ok := k.traces[tr]; ok {
+		return th, nil
 	}
 	th, err := traceHash(tr)
 	if err != nil {
 		return "", err
 	}
-	return r.cellKey(th, pointKey, len(tr.Insts)), nil
+	k.traces[tr] = th
+	return th, nil
+}
+
+// cellKeys assembles a cell's two keys from its trace hash and point keys.
+func (r *Runner) cellKeys(th string, pk pointKeys, n int) CellKeys {
+	key := r.cellKey(th, pk.key, n)
+	if pk.canon == pk.key {
+		return CellKeys{Key: key, Canon: key}
+	}
+	return CellKeys{Key: key, Canon: r.cellKey(th, pk.canon, n)}
+}
+
+// CellKey returns the journal content address the (cfg, tr) cell's
+// stitched Result is recorded under given this runner's windowing plan —
+// the exact key Stream computes internally. External schedulers
+// (internal/service) derive it, with the canonical key, through a Keyer to
+// detect already-journaled cells before leasing any work, and workers use
+// it to verify that their engine build and configuration agree with the
+// daemon that granted the lease: a key mismatch means the two binaries
+// would simulate different numbers, so the cell must not run.
+func (r *Runner) CellKey(cfg core.Config, tr *trace.Trace) (string, error) {
+	keys, err := r.NewKeyer().Keys(cfg, tr)
+	return keys.Key, err
 }
 
 // RunCell runs exactly one (cfg, trace) cell through the stream — with the
@@ -225,12 +305,20 @@ func (r *Runner) CellKey(cfg core.Config, tr *trace.Trace) (string, error) {
 // effect — and returns the cell's stitched Result plus whether it replayed
 // from the journal instead of simulating. label identifies the cell in
 // errors, progress lines and fault-injection rules, exactly like a
-// PointSpec label.
-func (r *Runner) RunCell(ctx context.Context, label string, cfg core.Config, tr *trace.Trace) (*core.Result, bool, error) {
+// PointSpec label. k, when non-nil, supplies the hashes the stream keys
+// the cell with: a caller that already keyed the cell through k (a sweep
+// worker checking its lease) does not hash the trace again. nil keys the
+// cell afresh.
+func (r *Runner) RunCell(ctx context.Context, k *Keyer, label string, cfg core.Config, tr *trace.Trace) (*core.Result, bool, error) {
+	if k == nil {
+		k = r.NewKeyer()
+	}
+	ch := make(chan PointUpdate)
+	go r.stream(ctx, k, []PointSpec{{Label: label, Cfg: cfg, Traces: []*trace.Trace{tr}}}, ch)
 	var res *core.Result
 	var replayed bool
 	var firstErr error
-	for u := range r.Stream(ctx, []PointSpec{{Label: label, Cfg: cfg, Traces: []*trace.Trace{tr}}}) {
+	for u := range ch {
 		if u.Err != nil {
 			if firstErr == nil {
 				firstErr = u.Err
@@ -251,7 +339,8 @@ func (r *Runner) RunCell(ctx context.Context, label string, cfg core.Config, tr 
 	return res, replayed, nil
 }
 
-func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointUpdate) {
+// stream runs specs on the pool, keying their cells through k.
+func (r *Runner) stream(ctx context.Context, k *Keyer, specs []PointSpec, ch chan<- PointUpdate) {
 	defer close(ch)
 
 	// emit serializes channel sends, the Done counter and the Progress
@@ -304,20 +393,12 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 	st := r.checkpoints()
 	var jobs []jobRef
 	var replayed []*cell
-	traceHashes := make(map[*trace.Trace]string)
 	leaders := make(map[string]*cell)
 	for p := range specs {
-		pointKey, err := r.cfgHash(specs[p].Cfg)
+		pk, err := k.point(specs[p].Cfg)
 		if err != nil {
 			emit(PointUpdate{Point: -1, Trace: -1, Err: err})
 			return
-		}
-		canonPointKey := pointKey
-		if canon := canonicalConfig(specs[p].Cfg); canon != specs[p].Cfg {
-			if canonPointKey, err = r.cfgHash(canon); err != nil {
-				emit(PointUpdate{Point: -1, Trace: -1, Err: err})
-				return
-			}
 		}
 		var warmKey string
 		if st != nil {
@@ -325,17 +406,12 @@ func (r *Runner) stream(ctx context.Context, specs []PointSpec, ch chan<- PointU
 		}
 		for ti, tr := range specs[p].Traces {
 			cl := &cell{point: p, traceIdx: ti, name: tr.Name}
-			th, ok := traceHashes[tr]
-			if !ok {
-				if th, err = traceHash(tr); err != nil {
-					emit(PointUpdate{Point: -1, Trace: -1, Err: err})
-					return
-				}
-				traceHashes[tr] = th
+			if cl.traceHash, err = k.trace(tr); err != nil {
+				emit(PointUpdate{Point: -1, Trace: -1, Err: err})
+				return
 			}
-			cl.traceHash = th
-			cl.key = r.cellKey(th, pointKey, len(tr.Insts))
-			cl.canonKey = r.cellKey(th, canonPointKey, len(tr.Insts))
+			keys := r.cellKeys(cl.traceHash, pk, len(tr.Insts))
+			cl.key, cl.canonKey = keys.Key, keys.Canon
 			cells = append(cells, cl)
 			if cl.cached = r.replay(jnl, specs[p].Cfg, cl.key, cl.canonKey); cl.cached != nil {
 				replayed = append(replayed, cl)
@@ -477,20 +553,29 @@ func (r *Runner) replay(jnl *journal.Journal, cfg core.Config, key, canonKey str
 }
 
 // record stores res, simulated for an equivalent config, as the result of
-// the cfg cell at key: a by-value copy whose Plan is re-derived from cfg
-// (the only field equivalent configs' Results differ in), put in the memo
-// and, when one is open, the journal.
+// the cfg cell at key (Follow), in the memo and, when one is open, the
+// journal.
 func (r *Runner) record(jnl *journal.Journal, cfg core.Config, key string, windows int, res *core.Result) *journal.Entry {
-	own := *res
-	// An equivalent cell simulated successfully, so cfg is valid and its
-	// plan derives without error.
-	own.Plan, _ = core.AppliedPlan(cfg)
-	r.memo.put(key, windows, &own)
-	e := &journal.Entry{Key: key, Windows: windows, Result: &own}
+	e := Follow(cfg, key, windows, res)
+	r.memo.put(key, windows, e.Result)
 	if jnl != nil {
 		_ = jnl.Put(e) // a cache write: losing it only costs re-simulation
 	}
 	return e
+}
+
+// Follow returns the journal entry that records res, the Result of a cell
+// with the same canonical identity, as the result of the cfg cell at key:
+// a by-value copy whose Plan is re-derived from cfg, the only field in
+// which equivalent configs' Results differ. The runner's followers and
+// canonical hits get their Results through it, and so do the sweep
+// daemon's.
+func Follow(cfg core.Config, key string, windows int, res *core.Result) *journal.Entry {
+	own := *res
+	// An equivalent cell simulated successfully, so cfg is valid and its
+	// plan derives without error.
+	own.Plan, _ = core.AppliedPlan(cfg)
+	return &journal.Entry{Key: key, Windows: windows, Result: &own}
 }
 
 // lookup finds key in the journal (when one is open), then in the

@@ -10,17 +10,24 @@
 #      byte-identical to the same sweep run locally (lease reclamation
 #      lost nothing, double-counted nothing, and every result crossed the
 #      wire through the daemon's content check);
-#   2. a second, windowed sweep (-window, warm-state checkpoints on: each
+#   2. a second grid (iraw,extrabypass) against the same daemon is also
+#      byte-identical to local, and the daemon's sweep status counts the
+#      cells it did not lease: the first grid's IRAW cells at 600–700 mV
+#      follow their baseline cells (35 of 182 at one seed), and the second
+#      grid replays all its IRAW cells plus the Extra-Bypass cells at
+#      625–700 mV, which share the baseline cells' canonical keys (119 of
+#      182);
+#   3. a windowed sweep (-window, warm-state checkpoints on: each
 #      worker keeps a private ckpt store beside its private journal) is
 #      also byte-identical to its local run;
-#   3. a mid-sweep network partition (SIGSTOP a worker past the lease TTL,
+#   4. a mid-sweep network partition (SIGSTOP a worker past the lease TTL,
 #      then SIGCONT) plus another kill -9 still converges byte-identical —
 #      the frozen worker abandons its reclaimed cell on thaw and rejoins;
-#   4. a -width 3 sweep is byte-identical daemon vs local: the spec's
+#   5. a -width 3 sweep is byte-identical daemon vs local: the spec's
 #      width reaches both the daemon's cell keys and the workers'
 #      regenerated configs, so a width-threading bug on either side would
 #      fail the content check or change the rendered numbers;
-#   5. SIGTERM drains the daemon gracefully: it verifies the journal and
+#   6. SIGTERM drains the daemon gracefully: it verifies the journal and
 #      exits 0.
 #
 # Usage: scripts/sweepd_smoke.sh [insts] [seeds]
@@ -114,6 +121,55 @@ for i in 1 2; do
     exit 1
   fi
 done
+
+# Second grid on the same daemon. Each grid has 2 modes × 13 levels per
+# trace: 5 IRAW levels (600–700 mV) follow baseline cells in the first, and
+# 13 IRAW plus 4 Extra-Bypass levels (625–700 mV) replay in the second.
+MODES2="iraw,extrabypass"
+echo "sweepd_smoke: local sweep of the second grid ($MODES2)" >&2
+"$WORK/vccsweep" -insts "$INSTS" -seeds "$SEEDS" -modes "$MODES2" -csv \
+  > "$WORK/local2.csv"
+echo "sweepd_smoke: second grid through vccsweep -server" >&2
+if ! "$WORK/vccsweep" -server "$ADDR" -insts "$INSTS" -seeds "$SEEDS" \
+  -modes "$MODES2" -csv > "$WORK/daemon2.csv" 2> "$WORK/client2.err"; then
+  echo "sweepd_smoke: FAIL second-grid client sweep errored" >&2
+  cat "$WORK/client2.err" >&2
+  exit 1
+fi
+if ! diff -u "$WORK/local2.csv" "$WORK/daemon2.csv"; then
+  echo "sweepd_smoke: FAIL second-grid daemon sweep differs from local sweep" >&2
+  exit 1
+fi
+echo "sweepd_smoke: second-grid daemon CSV identical to local CSV" >&2
+
+check_replayed() { # check_replayed <sweep id> <replayed levels of 26>
+  local st replayed total
+  st="$(curl -fsS "http://$ADDR/api/v1/sweeps/$1")"
+  replayed="$(sed -n 's/.*"replayed":\([0-9]*\).*/\1/p' <<< "$st")"
+  total="$(sed -n 's/.*"total":\([0-9]*\).*/\1/p' <<< "$st")"
+  local want=$((total / 26 * $2))
+  if [ "$replayed" != "$want" ]; then
+    echo "sweepd_smoke: FAIL $1 replayed ${replayed:-?} of ${total:-?} cells, want $want" >&2
+    echo "$st" >&2
+    exit 1
+  fi
+  echo "sweepd_smoke: $1 replayed $replayed of $total cells" >&2
+}
+# sweep_ids prints the first <count> sweep IDs in submission order. IDs are
+# "sweep-<n>" drawn from a counter that lease IDs share, so walk it.
+sweep_ids() { # sweep_ids <count>
+  local n=1 found=0
+  while [ "$found" -lt "$1" ] && [ "$n" -le 5000 ]; do
+    if curl -fsS -o /dev/null "http://$ADDR/api/v1/sweeps/sweep-$n" 2>/dev/null; then
+      echo "sweep-$n"
+      found=$((found + 1))
+    fi
+    n=$((n + 1))
+  done
+}
+mapfile -t SWEEP_IDS < <(sweep_ids 2)
+check_replayed "${SWEEP_IDS[0]:-none}" 5
+check_replayed "${SWEEP_IDS[1]:-none}" 17
 
 # Windowed sweep: sample windows shard each trace, functional warm-up runs
 # through the warm-state checkpoint store (local: in-process shared store;
@@ -220,4 +276,4 @@ grep -q "journal verified" "$WORK/daemon.err" || {
 }
 DAEMON_PID=""
 
-echo "sweepd_smoke: PASS (no shared FS; kill -9 + partition mid-sweep; width-3 grid; results identical; clean drain)"
+echo "sweepd_smoke: PASS (no shared FS; kill -9 + partition mid-sweep; canonical followers and replays; width-3 grid; results identical; clean drain)"
