@@ -143,72 +143,28 @@ func (g *gen) fig11a() error {
 	return g.emit(t)
 }
 
-// fig11bTable is the figure's stream table (shared by the local and
-// -server paths).
-func (g *gen) fig11bTable() (*report.StreamTable, error) {
-	return report.NewStreamTable(g.w, g.csv,
-		"Figure 11(b): IRAW frequency increase and performance gains",
-		"Vcc", "freq-gain", "perf-gain", "ipc-base", "ipc-iraw", "stall-cost")
-}
-
-// serverFig11b renders Figure 11(b) from a sweepd daemon's results: the
-// client's level aggregation is bit-identical to the local sweep's, so the
-// table matches a local run of the same suite.
-func (g *gen) serverFig11b() error {
-	cl, err := service.NewClient(g.server)
-	if err != nil {
-		return err
-	}
-	t, err := g.fig11bTable()
-	if err != nil {
-		return err
-	}
-	spec := sim.SweepSpec{
-		InstsPerTrace:   g.spec.InstsPerTrace,
-		SeedsPerProfile: g.spec.SeedsPerProfile,
-		Modes:           []string{"baseline", "iraw"},
-		WindowInsts:     g.runner.WindowInsts,
-		WarmInsts:       g.runner.WarmInsts,
-		Width:           g.runner.Width,
-	}
-	failed := 0
-	err = cl.StreamLevels(context.Background(), spec,
-		func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
-			for _, m := range []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW} {
-				if ce := fails[m]; ce != nil {
-					failed++
-					return t.AddRow(v, "FAIL("+ce.Reason(32)+")", "-", "-", "-", "-")
-				}
-			}
-			r := sim.Fig11bFrom(v, pts[circuit.ModeBaseline].Agg, pts[circuit.ModeIRAW].Agg)
-			return t.AddRow(r.Vcc, r.FreqGain, r.PerfGain, r.IPCBase, r.IPCIRAW, report.Pct(r.StallCost))
-		})
-	if err != nil {
-		return err
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "figures: %d operating point(s) failed; rows marked FAIL\n", failed)
-	}
-	if !g.csv {
-		fmt.Fprintln(g.w)
-	}
-	return nil
-}
-
 // fig11b renders Figure 11(b) progressively: each voltage's row prints the
 // moment both designs at that level finish simulating, so the figure
 // starts appearing long before the full (mode x voltage x trace) grid
 // completes.
 func (g *gen) fig11b() error {
-	if g.server != "" {
-		return g.serverFig11b()
-	}
-	t, err := g.fig11bTable()
+	t, err := report.NewStreamTable(g.w, g.csv,
+		"Figure 11(b): IRAW frequency increase and performance gains",
+		"Vcc", "freq-gain", "perf-gain", "ipc-base", "ipc-iraw", "stall-cost")
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
+	spec := g.runner.SweepSpec(g.spec, sim.Fig11bModes())
+	id, updates, err := service.OpenSweep(ctx, g.server, g.runner, spec)
+	if err != nil {
+		return err
+	}
+	if id != "" {
+		fmt.Fprintln(os.Stderr, "figures: sweep", id)
+	}
 	var rowErr error
-	_, err = sim.Figure11bStream(context.Background(), g.suite(), func(r sim.Fig11bRow, fail *sim.CellError) {
+	_, err = sim.Figure11bFold(ctx, updates, spec.TracesPerPoint(), func(r sim.Fig11bRow, fail *sim.CellError) {
 		var e error
 		if fail != nil {
 			e = t.AddRow(r.Vcc, "FAIL("+fail.Reason(32)+")", "-", "-", "-", "-")
@@ -221,8 +177,9 @@ func (g *gen) fig11b() error {
 	})
 	var pe *sim.PartialError
 	if errors.As(err, &pe) {
-		// The failed voltages already rendered as FAIL rows (-allow-partial);
-		// note the damage and keep the run alive.
+		// The failed voltages already rendered as FAIL rows (-allow-partial
+		// locally, always on a daemon); note the damage and keep the run
+		// alive.
 		fmt.Fprintf(os.Stderr, "figures: %d cell(s) failed; rows marked FAIL\n", len(pe.Cells))
 	} else if err != nil {
 		return err

@@ -10,8 +10,10 @@
 //	vccsweep -server 127.0.0.1:7077                  # run on a sweepd daemon
 //
 // With -server the sweep executes on a sweepd daemon (and its workers)
-// instead of in-process; the rendered table is bit-identical to the local
-// run because cells aggregate in the same fixed order on either path.
+// instead of in-process, and its ID prints on stderr ("vccsweep: sweep
+// sweep-N"). -server only chooses where the cells come from: both paths
+// feed one fold (sim.FoldLevels) and one renderer, so the table is
+// bit-identical to the local run's.
 package main
 
 import (
@@ -32,42 +34,23 @@ func main() {
 	modesFlag := flag.String("modes", "baseline,iraw", "comma-separated designs to sweep")
 	csv := flag.Bool("csv", false, "emit CSV")
 	server := flag.String("server", "", "run the sweep on a sweepd daemon at this address instead of in-process")
-	runner := sim.Default()
-	runner.RegisterFlags(flag.CommandLine, "vccsweep")
+	sim.Default().RegisterFlags(flag.CommandLine, "vccsweep")
 	flag.Parse()
 
-	if *server != "" {
-		spec := sim.SweepSpec{
-			InstsPerTrace:   *insts,
-			SeedsPerProfile: *seeds,
-			WindowInsts:     runner.WindowInsts,
-			WarmInsts:       runner.WarmInsts,
-			Width:           runner.Width,
-		}
-		if err := runServer(*server, spec, *modesFlag, *csv); err != nil {
-			fmt.Fprintln(os.Stderr, "vccsweep:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*insts, *seeds, *modesFlag, *csv); err != nil {
+	suite := sim.SuiteSpec{InstsPerTrace: *insts, SeedsPerProfile: *seeds}
+	if err := run(*server, suite, *modesFlag, *csv); err != nil {
 		fmt.Fprintln(os.Stderr, "vccsweep:", err)
 		os.Exit(1)
 	}
 }
 
-// runServer renders the same table as run, with the simulation done by a
-// sweepd daemon: the client re-aggregates the daemon's cell events into
-// per-level points bit-identical to the local path's.
-func runServer(addr string, spec sim.SweepSpec, modesFlag string, csv bool) error {
+// run renders the sweep table. Each voltage's row prints as soon as every
+// requested design at that level has landed (rows stay in voltage order:
+// a finished level waits for slower earlier levels). With -allow-partial
+// locally, and always on a daemon, failed operating points render as
+// FAIL(reason) cells and the sweep keeps going.
+func run(server string, suite sim.SuiteSpec, modesFlag string, csv bool) error {
 	modes, err := sim.ParseModes(modesFlag)
-	if err != nil {
-		return err
-	}
-	for _, m := range modes {
-		spec.Modes = append(spec.Modes, m.String())
-	}
-	cl, err := service.NewClient(addr)
 	if err != nil {
 		return err
 	}
@@ -75,8 +58,18 @@ func runServer(addr string, spec sim.SweepSpec, modesFlag string, csv bool) erro
 	if err != nil {
 		return err
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec := sim.Default().SweepSpec(suite, modes)
+	id, updates, err := service.OpenSweep(ctx, server, sim.Default(), spec)
+	if err != nil {
+		return err
+	}
+	if id != "" {
+		fmt.Fprintln(os.Stderr, "vccsweep: sweep", id)
+	}
 	failed := 0
-	err = cl.StreamLevels(context.Background(), spec,
+	err = sim.FoldLevels(ctx, cancel, updates, spec.TracesPerPoint(), modes, spec.Levels(),
 		func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
 			n, err := addSweepRow(t, modes, v, pts, fails)
 			failed += n
@@ -91,42 +84,7 @@ func runServer(addr string, spec sim.SweepSpec, modesFlag string, csv bool) erro
 	return nil
 }
 
-func run(insts, seeds int, modesFlag string, csv bool) error {
-	modes, err := sim.ParseModes(modesFlag)
-	if err != nil {
-		return err
-	}
-	traces := sim.SuiteSpec{InstsPerTrace: insts, SeedsPerProfile: seeds}.Traces()
-	levels := circuit.Levels()
-
-	t, err := newSweepTable(modes, csv)
-	if err != nil {
-		return err
-	}
-
-	// Collect the streaming sweep, rendering each voltage's row as soon as
-	// every requested design at that level has landed (rows stay in
-	// voltage order: a finished level waits for slower earlier levels).
-	// With -allow-partial, failed operating points render as FAIL(reason)
-	// cells and the sweep keeps going.
-	failed := 0
-	err = sim.StreamLevels(context.Background(), traces, modes, levels,
-		func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
-			n, err := addSweepRow(t, modes, v, pts, fails)
-			failed += n
-			return err
-		})
-	if err != nil {
-		return err
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "vccsweep: %d operating point(s) failed; rows marked FAIL\n", failed)
-	}
-	return nil
-}
-
-// newSweepTable builds the sweep's stream table (shared by the local and
-// -server paths).
+// newSweepTable builds the sweep's stream table.
 func newSweepTable(modes []circuit.Mode, csv bool) (*report.StreamTable, error) {
 	header := []string{"Vcc"}
 	for _, m := range modes {

@@ -279,9 +279,9 @@ func TestDeadlinePromotesFollowerInAnotherSweep(t *testing.T) {
 
 	advance(31 * time.Second)
 	s.sweepExpired()
-	// Status counts only cells that ran out of attempts as failed, not the
-	// ones a terminated sweep abandoned.
-	wantStatus(t, s, a, "failed", 0, 0, 0)
+	// Status counts the cells a terminated sweep abandoned as failed, as
+	// its terminal event does.
+	wantStatus(t, s, a, "failed", 0, n, 0)
 	wantQueued(t, s, n)
 	leases := acquireAll(t, s, "w")
 	if len(leases) != n {
@@ -293,7 +293,7 @@ func TestDeadlinePromotesFollowerInAnotherSweep(t *testing.T) {
 		}
 	}
 	completeLease(t, s, stale)
-	wantStatus(t, s, a, "failed", 0, 0, 0)
+	wantStatus(t, s, a, "failed", 0, n, 0)
 	for _, l := range leases {
 		completeLease(t, s, l)
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"lowvcc/internal/circuit"
-	"lowvcc/internal/core"
 	"lowvcc/internal/sim"
 )
 
@@ -157,119 +157,106 @@ func (c *Client) Events(ctx context.Context, id string, fn func(CellEvent) error
 	return CellEvent{}, fmt.Errorf("service: event stream for %s ended without a terminal event", id)
 }
 
-// StreamLevels runs the spec on the daemon and replays the progress as the
-// local sim.Runner.StreamLevels contract: onLevel fires once per voltage in
-// spec order, as soon as every requested mode at that level has aggregated,
-// with failed operating points in the fails map. Per-trace cell results
-// merge in trace order via core.MergeResults — the emitted aggregates are
-// bit-identical to a local sweep of the same spec, which is what lets
-// `vccsweep -server` render the exact same table a local run prints.
-func (c *Client) StreamLevels(ctx context.Context, spec sim.SweepSpec, onLevel func(circuit.Millivolts, map[circuit.Mode]*sim.Point, map[circuit.Mode]*sim.CellError) error) error {
+// Stream submits spec and streams the sweep's cells back as the
+// PointUpdates a local sim.Runner.StreamGrid of the same grid emits, so
+// sim.FoldLevels folds either alike. It returns the daemon's sweep ID. A
+// cell event at index i becomes the update for point i / traces, trace
+// i % traces, where traces is spec.TracesPerPoint(); a failed cell carries
+// a *sim.CellError. A sweep that ends interrupted, or without reporting
+// every cell, ends with a terminal update (Point -1), as does a broken
+// event stream. Consumers drain the channel until it closes; cancelling
+// ctx ends it early.
+func (c *Client) Stream(ctx context.Context, spec sim.SweepSpec) (string, <-chan sim.PointUpdate, error) {
 	if err := spec.Validate(); err != nil {
-		return err
+		return "", nil, err
 	}
+	id, err := c.Submit(ctx, spec)
+	if err != nil {
+		return "", nil, err
+	}
+	traces := spec.TracesPerPoint()
+	total := len(spec.Modes) * len(spec.Levels()) * traces
+	ch := make(chan sim.PointUpdate)
+	send := func(u sim.PointUpdate) error {
+		select {
+		case ch <- u:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	go func() {
+		defer close(ch)
+		done, seen := 0, make([]bool, total)
+		term, err := c.Events(ctx, id, func(ev CellEvent) error {
+			if ev.Terminal {
+				return nil
+			}
+			if ev.Total != total || ev.Index < 0 || ev.Index >= total || seen[ev.Index] || (ev.Err == "" && ev.Result == nil) {
+				return fmt.Errorf("service: sweep %s: malformed event for cell %d of %d (want %d cells)", id, ev.Index, ev.Total, total)
+			}
+			seen[ev.Index] = true
+			done++
+			u := sim.PointUpdate{
+				Point: ev.Index / traces, Trace: ev.Index % traces,
+				Label: ev.Label, TraceName: ev.TraceName,
+				Result: ev.Result, Replayed: ev.Replayed,
+				Done: done, Total: total,
+			}
+			if ev.Err != "" {
+				u.Err = &sim.CellError{Label: ev.Label, TraceName: ev.TraceName, Point: u.Point, Trace: u.Trace, Err: errors.New(ev.Err)}
+			}
+			return send(u)
+		})
+		switch {
+		case err != nil:
+		case term.State != "done" && term.State != "failed":
+			err = fmt.Errorf("service: sweep %s ended %q (daemon drained mid-sweep; resubmit to resume from the journal)", id, term.State)
+		case done < total:
+			err = fmt.Errorf("service: sweep %s ended %q with %d of %d cells reported", id, term.State, done, total)
+		}
+		if err != nil {
+			send(sim.PointUpdate{Point: -1, Trace: -1, Err: err})
+		}
+	}()
+	return id, ch, nil
+}
+
+// OpenSweep streams the cells of spec's grid for sim.FoldLevels: from the
+// sweep daemon at addr (Client.Stream), or, when addr is "", in process on
+// r, whose windowing plan and width spec must carry (Runner.SweepSpec).
+// The ID names the daemon's sweep; it is "" in process.
+func OpenSweep(ctx context.Context, addr string, r *sim.Runner, spec sim.SweepSpec) (string, <-chan sim.PointUpdate, error) {
+	if addr == "" {
+		modes, err := spec.CircuitModes()
+		if err != nil {
+			return "", nil, err
+		}
+		return "", r.StreamGrid(ctx, spec.Traces(), modes, spec.Levels()), nil
+	}
+	c, err := NewClient(addr)
+	if err != nil {
+		return "", nil, err
+	}
+	return c.Stream(ctx, spec)
+}
+
+// StreamLevels runs the spec on the daemon and collects it voltage by
+// voltage under the local sim.Runner.StreamLevels contract: sim.FoldLevels
+// over Stream, so the emitted points are bit-identical to a local sweep of
+// the same spec and a failed point carries its lowest-trace-index cell.
+func (c *Client) StreamLevels(ctx context.Context, spec sim.SweepSpec, onLevel func(circuit.Millivolts, map[circuit.Mode]*sim.Point, map[circuit.Mode]*sim.CellError) error) error {
 	modes, err := spec.CircuitModes()
 	if err != nil {
 		return err
 	}
-	levels := spec.Levels()
-
-	id, err := c.Submit(ctx, spec)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	_, updates, err := c.Stream(ctx, spec)
 	if err != nil {
 		return err
 	}
-
-	// One slot per operating point, accumulating per-trace results by
-	// index so merge order never depends on event arrival order.
-	type slot struct {
-		results []*core.Result
-		got     int
-		fail    *sim.CellError
-	}
-	grid := make(map[circuit.Mode]map[circuit.Millivolts]*slot, len(modes))
-	for _, m := range modes {
-		grid[m] = make(map[circuit.Millivolts]*slot, len(levels))
-	}
-	var tracesPerPoint int
-
-	modeOf := make(map[string]circuit.Mode, len(modes))
-	for i, name := range spec.Modes {
-		modeOf[name] = modes[i]
-	}
-
-	next := 0
-	emitReady := func() error {
-		for next < len(levels) {
-			v := levels[next]
-			row := make(map[circuit.Mode]*sim.Point, len(modes))
-			fails := make(map[circuit.Mode]*sim.CellError)
-			for _, m := range modes {
-				s := grid[m][v]
-				if s == nil || (s.fail == nil && s.got < tracesPerPoint) {
-					return nil // level still incomplete (or gated by order)
-				}
-				if s.fail != nil {
-					fails[m] = s.fail
-				} else {
-					row[m] = &sim.Point{Vcc: v, Mode: m, Agg: core.MergeResults(s.results)}
-				}
-			}
-			if err := onLevel(v, row, fails); err != nil {
-				return err
-			}
-			next++
-		}
-		return nil
-	}
-
-	term, err := c.Events(ctx, id, func(ev CellEvent) error {
-		if ev.Terminal {
-			return nil
-		}
-		if tracesPerPoint == 0 && ev.Total > 0 {
-			tracesPerPoint = ev.Total / (len(modes) * len(levels))
-		}
-		m, ok := modeOf[ev.Mode]
-		if !ok {
-			return fmt.Errorf("service: event for unknown mode %q", ev.Mode)
-		}
-		v := circuit.Millivolts(ev.VccMV)
-		s := grid[m][v]
-		if s == nil {
-			s = &slot{results: make([]*core.Result, tracesPerPoint)}
-			grid[m][v] = s
-		}
-		switch {
-		case ev.Err != "":
-			if s.fail == nil {
-				s.fail = &sim.CellError{Point: -1, Trace: ev.TraceIdx, TraceName: ev.TraceName, Label: ev.Label, Err: fmt.Errorf("%s", ev.Err)}
-			}
-		case ev.TraceIdx < 0 || ev.TraceIdx >= len(s.results):
-			return fmt.Errorf("service: event trace index %d out of range", ev.TraceIdx)
-		case s.results[ev.TraceIdx] == nil:
-			s.results[ev.TraceIdx] = ev.Result
-			s.got++
-		}
-		return emitReady()
-	})
-	if err != nil {
-		return err
-	}
-	switch term.State {
-	case "done", "failed":
-		// Failed points rendered through the fails map; make sure every
-		// level was emitted (a failed cell may have unblocked later levels
-		// only now).
-		if err := emitReady(); err != nil {
-			return err
-		}
-		if next < len(levels) {
-			return fmt.Errorf("service: sweep %s ended %q with %d/%d levels aggregated", id, term.State, next, len(levels))
-		}
-		return nil
-	default:
-		return fmt.Errorf("service: sweep %s ended %q (daemon drained mid-sweep; resubmit to resume from the journal)", id, term.State)
-	}
+	return sim.FoldLevels(ctx, cancel, updates, spec.TracesPerPoint(), modes, spec.Levels(), onLevel)
 }
 
 func readErrBody(r io.Reader) string {

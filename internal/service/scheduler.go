@@ -173,7 +173,8 @@ type Scheduler struct {
 	queued    int // pending + leased + following cells across all sweeps
 	draining  bool
 	closed    bool
-	seq       int
+	sweepSeq  int // sweep IDs: sweep-1, sweep-2, ...
+	leaseSeq  int // lease IDs: lease-1, lease-2, ...
 
 	// Complete-dedup: lease IDs whose completion was already recorded.
 	// A retried Complete (dropped response, duplicated request) finds its
@@ -318,8 +319,8 @@ func (s *Scheduler) submit(client string, spec sim.SweepSpec) (string, error) {
 			}
 		}
 	}
-	s.seq++
-	id := fmt.Sprintf("sweep-%d", s.seq)
+	s.sweepSeq++
+	id := fmt.Sprintf("sweep-%d", s.sweepSeq)
 	s.mu.Unlock()
 
 	cells, canon, err := expandSpec(id, spec)
@@ -547,9 +548,9 @@ func (s *Scheduler) Acquire(worker string) (*Lease, error) {
 				continue
 			}
 			job.state[i] = cellLeased
-			s.seq++
+			s.leaseSeq++
 			ls := &leaseState{
-				id:     fmt.Sprintf("lease-%d", s.seq),
+				id:     fmt.Sprintf("lease-%d", s.leaseSeq),
 				sweep:  id,
 				index:  i,
 				worker: worker,
@@ -783,15 +784,17 @@ func (s *Scheduler) maybeFinishLocked(job *sweepJob) {
 }
 
 // terminateLocked moves the sweep to a terminal state: cells still
-// pending, leased or following are abandoned (their queue slots released,
-// the lead of their canonical groups passed to another live sweep), the
-// terminal event is emitted, and every subscriber channel closes.
+// pending, leased or following are abandoned and counted failed (their
+// queue slots released, the lead of their canonical groups passed to
+// another live sweep), the terminal event is emitted, and every subscriber
+// channel closes.
 func (s *Scheduler) terminateLocked(job *sweepJob, state string) {
 	job.terminalState = state // first: no cell of this sweep takes a lead
 	for i, st := range job.state {
 		if st == cellPending || st == cellLeased || st == cellFollowing {
 			s.leaveGroupLocked(job, i)
 			job.state[i] = cellFailed
+			job.failed++
 			s.queued--
 		}
 	}
@@ -799,7 +802,7 @@ func (s *Scheduler) terminateLocked(job *sweepJob, state string) {
 		Sweep:    job.id,
 		Index:    -1,
 		Done:     job.done,
-		Failed:   job.total() - job.done,
+		Failed:   job.failed,
 		Total:    job.total(),
 		Terminal: true,
 		State:    state,

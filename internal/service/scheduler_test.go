@@ -586,6 +586,26 @@ func TestSweepDeadline(t *testing.T) {
 	}
 }
 
+// TestSweepIDsCountSweeps: sweep IDs run sweep-1, sweep-2, ... however
+// many leases were granted between submissions.
+func TestSweepIDsCountSweeps(t *testing.T) {
+	s := newTestScheduler(t, SchedulerOpts{})
+	var ids []string
+	for range 2 {
+		id, err := s.Submit(singlePointSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+		if l, err := s.Acquire("w"); err != nil || l == nil {
+			t.Fatalf("acquire: (%v, %v)", l, err)
+		}
+	}
+	if ids[0] != "sweep-1" || ids[1] != "sweep-2" {
+		t.Fatalf("sweep IDs %v, want [sweep-1 sweep-2]", ids)
+	}
+}
+
 // TestReplayOnlySubmitIsInstantlyTerminal: submitting a spec whose cells
 // are all journaled completes at submission without any worker.
 func TestReplayOnlySubmitIsInstantlyTerminal(t *testing.T) {

@@ -159,69 +159,129 @@ func TestHTTPBackpressure429(t *testing.T) {
 	}
 }
 
-// TestClientStreamLevels: the client's re-aggregation of daemon cell
-// events emits the same levels, in the same order, with the same merged
-// stats, as the local sim.StreamLevels path.
+// TestClientStreamLevels: the daemon path (Client.Stream folded by
+// sim.FoldLevels) emits the same levels, in the same order, with the same
+// merged stats, as the local Runner.StreamLevels path. With a fault plan
+// that fails two traces of one operating point on every attempt, both
+// paths report that point's lowest-trace-index cell — with one or two
+// workers, whatever order the daemon's failures arrive in.
 func TestClientStreamLevels(t *testing.T) {
 	spec := testSpec()
 	modes, err := spec.CircuitModes()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	type row struct {
-		v   circuit.Millivolts
-		pts map[circuit.Mode]*sim.Point
+	traces := spec.Traces()
+	victim := sim.SweepLabel(400, circuit.ModeBaseline)
+	// Trace 1 fails slowly (transient faults, retried with backoff until
+	// the attempt gives up) and trace 2 at once, so with two workers trace
+	// 2's failure reaches the client first.
+	faults := func() *sim.FaultPlan {
+		return sim.NewFaultPlan(
+			sim.FaultRule{Label: victim, TraceName: traces[1].Name, Window: -1, Kind: sim.FaultTransient},
+			sim.FaultRule{Label: victim, TraceName: traces[2].Name, Window: -1, Kind: sim.FaultError},
+		)
 	}
-	var local []row
-	err = (&sim.Runner{Workers: 2}).StreamLevels(context.Background(), spec.Traces(), modes, spec.Levels(),
-		func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
-			if len(fails) != 0 {
-				t.Fatalf("local sweep failed at %v: %v", v, fails)
-			}
-			local = append(local, row{v, pts})
+
+	type level struct {
+		v     circuit.Millivolts
+		pts   map[circuit.Mode]*sim.Point
+		fails map[circuit.Mode]*sim.CellError
+	}
+	collect := func(stream func(func(circuit.Millivolts, map[circuit.Mode]*sim.Point, map[circuit.Mode]*sim.CellError) error) error) []level {
+		t.Helper()
+		var out []level
+		err := stream(func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
+			out = append(out, level{v, pts, fails})
 			return nil
 		})
-	if err != nil {
-		t.Fatal(err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	local := func(r *sim.Runner) []level {
+		return collect(func(onLevel func(circuit.Millivolts, map[circuit.Mode]*sim.Point, map[circuit.Mode]*sim.CellError) error) error {
+			return r.StreamLevels(context.Background(), traces, modes, spec.Levels(), onLevel)
+		})
+	}
+	clean := local(&sim.Runner{Workers: 2})
+	faulty := local(&sim.Runner{Workers: 2, Faults: faults(), AllowPartial: true})
+	if ce := faulty[1].fails[circuit.ModeBaseline]; ce == nil || ce.Trace != 1 {
+		t.Fatalf("local fold reported %+v for %s, want its trace-1 cell", ce, victim)
 	}
 
-	_, base := newTestDaemon(t, ServerOpts{Workers: 2})
+	for _, c := range []struct {
+		name    string
+		workers int
+		faults  bool
+	}{{"clean", 2, false}, {"faults/workers=1", 1, true}, {"faults/workers=2", 2, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			opts, want := ServerOpts{Workers: c.workers}, clean
+			if c.faults {
+				opts.Faults, opts.MaxAttempts, want = faults(), 1, faulty
+				opts.Retries, opts.RetryBackoff = 3, 40*time.Millisecond
+			}
+			_, base := newTestDaemon(t, opts)
+			cl, err := NewClient(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			remote := collect(func(onLevel func(circuit.Millivolts, map[circuit.Mode]*sim.Point, map[circuit.Mode]*sim.CellError) error) error {
+				return cl.StreamLevels(ctx, spec, onLevel)
+			})
+
+			if len(remote) != len(want) {
+				t.Fatalf("daemon path emitted %d levels, local %d", len(remote), len(want))
+			}
+			for i, w := range want {
+				r := remote[i]
+				if r.v != w.v {
+					t.Fatalf("level %d: daemon emitted %v, local %v (order must match)", i, r.v, w.v)
+				}
+				for _, m := range modes {
+					if wf, rf := w.fails[m], r.fails[m]; wf != nil || rf != nil {
+						if wf == nil || rf == nil || rf.Point != wf.Point || rf.Trace != wf.Trace || rf.TraceName != wf.TraceName || rf.Label != wf.Label {
+							t.Fatalf("level %v mode %v: daemon failure %+v, local %+v", w.v, m, rf, wf)
+						}
+						continue
+					}
+					lp, rp := w.pts[m], r.pts[m]
+					if lp == nil || rp == nil {
+						t.Fatalf("level %v mode %v missing a point (local %v, remote %v)", w.v, m, lp, rp)
+					}
+					if rp.Agg.Run != lp.Agg.Run || rp.Agg.Time != lp.Agg.Time || rp.Agg.Plan != lp.Agg.Plan {
+						t.Fatalf("level %v mode %v: daemon aggregate differs from local", w.v, m)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestClientStreamEndsShort: a sweep that ends without reporting every
+// cell — here, past its deadline with no worker to run it — ends the
+// client's stream with a terminal error naming the sweep, never with
+// missing levels passed off as a finished sweep.
+func TestClientStreamEndsShort(t *testing.T) {
+	_, base := newTestDaemon(t, ServerOpts{
+		SchedulerOpts: SchedulerOpts{LeaseTTL: 100 * time.Millisecond, SweepDeadline: 50 * time.Millisecond},
+		Workers:       -1,
+	})
 	cl, err := NewClient(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	var remote []row
-	err = cl.StreamLevels(ctx, spec,
-		func(v circuit.Millivolts, pts map[circuit.Mode]*sim.Point, fails map[circuit.Mode]*sim.CellError) error {
-			if len(fails) != 0 {
-				t.Fatalf("daemon sweep failed at %v: %v", v, fails)
-			}
-			remote = append(remote, row{v, pts})
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(remote) != len(local) {
-		t.Fatalf("daemon path emitted %d levels, local %d", len(remote), len(local))
-	}
-	for i := range local {
-		if remote[i].v != local[i].v {
-			t.Fatalf("level %d: daemon emitted %v, local %v (order must match)", i, remote[i].v, local[i].v)
-		}
-		for _, m := range modes {
-			lp, rp := local[i].pts[m], remote[i].pts[m]
-			if lp == nil || rp == nil {
-				t.Fatalf("level %v mode %v missing a point (local %v, remote %v)", local[i].v, m, lp, rp)
-			}
-			if rp.Agg.Run != lp.Agg.Run || rp.Agg.Time != lp.Agg.Time || rp.Agg.Plan != lp.Agg.Plan {
-				t.Fatalf("level %v mode %v: daemon aggregate differs from local", local[i].v, m)
-			}
-		}
+	err = cl.StreamLevels(ctx, testSpec(), func(v circuit.Millivolts, _ map[circuit.Mode]*sim.Point, _ map[circuit.Mode]*sim.CellError) error {
+		t.Errorf("level %v emitted by a sweep that ran no cell", v)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "sweep-1") || !strings.Contains(err.Error(), "of 28 cells") {
+		t.Fatalf("StreamLevels = %v, want the short sweep-1 reported", err)
 	}
 }
 

@@ -115,6 +115,16 @@
 // Correctness never depends on the flavor or the worker count: the
 // acceptance tests run the same sweep with 1, 2 and 4 workers under
 // kill -9, partitions and corrupt uploads and assert identical journals.
+//
+// # Clients
+//
+// Client.Stream maps a sweep's cell events to the sim.PointUpdates a local
+// sim.Runner.StreamGrid of the same grid emits, so the one level fold,
+// sim.FoldLevels, renders a daemon sweep exactly as a local one: `vccsweep
+// -server` and `figures -fig 11b -server` differ from their local runs
+// only in where the cells come from (OpenSweep). Sweep IDs count
+// submissions (sweep-1, sweep-2, ...); both commands print theirs on
+// stderr.
 package service
 
 import (
@@ -226,7 +236,9 @@ type CellEvent struct {
 type SweepStatus struct {
 	ID string `json:"id"`
 	// State: "running", "done", "failed" (some cells exhausted their
-	// attempts) or "interrupted" (the daemon drained mid-sweep). Replayed
+	// attempts, or the sweep ran past its deadline) or "interrupted" (the
+	// daemon drained mid-sweep). Failed counts the cells that exhausted
+	// their attempts and those a terminated sweep abandoned. Replayed
 	// counts the done cells that were never leased: journal replays and
 	// canonical followers (CellEvent.Replayed).
 	State    string `json:"state"`

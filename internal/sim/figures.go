@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -94,41 +95,49 @@ func fig11bRow(v circuit.Millivolts, base, iraw *core.Result) Fig11bRow {
 	return row
 }
 
+// Fig11bModes are Figure 11(b)'s two designs in its grid's mode order;
+// the grid spans the full voltage range (circuit.Levels).
+func Fig11bModes() []circuit.Mode { return []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW} }
+
 // Figure11bStream is Figure11b off the streaming sweep: rows are handed to
 // emit in voltage order as soon as both designs at a voltage have
 // completed, so callers can render the figure progressively while the rest
 // of the grid is still running. The returned slice is the complete figure,
 // bit-identical to the batch Figure11b (which is implemented as this
-// function with a nil emit).
-//
-// In partial mode a voltage whose cells failed is handed to emit with fail
-// set (its row carries only the Vcc) and left out of the returned slice;
-// the figure then comes back with a *PartialError listing every failed
-// voltage's cell error, alongside the completed rows.
+// function with a nil emit). It is Figure11bFold over the default runner's
+// StreamGrid.
 func Figure11bStream(ctx context.Context, traces []*trace.Trace, emit func(row Fig11bRow, fail *CellError)) ([]Fig11bRow, error) {
-	modes := []circuit.Mode{circuit.ModeBaseline, circuit.ModeIRAW}
-	levels := circuit.Levels()
+	return Figure11bFold(ctx, defaultRunner.StreamGrid(ctx, traces, Fig11bModes(), circuit.Levels()), len(traces), emit)
+}
+
+// Figure11bFold derives Figure 11(b) from the cell stream of its grid
+// (Fig11bModes over circuit.Levels, traces cells per point) from any
+// source — a local StreamGrid or a sweep daemon's — through FoldLevels.
+//
+// A voltage whose cells failed (partial streams) is handed to emit with
+// fail set (its row carries only the Vcc) and left out of the returned
+// slice; the figure then comes back with a *PartialError listing every
+// failed voltage's cell error, alongside the completed rows.
+func Figure11bFold(ctx context.Context, updates <-chan PointUpdate, traces int, emit func(row Fig11bRow, fail *CellError)) ([]Fig11bRow, error) {
+	if emit == nil {
+		emit = func(Fig11bRow, *CellError) {}
+	}
+	modes, levels := Fig11bModes(), circuit.Levels()
 	rows := make([]Fig11bRow, 0, len(levels))
 	var failed []*CellError
-	err := defaultRunner.StreamLevels(ctx, traces, modes, levels,
+	// onLevel never fails, so the fold never has to stop the stream.
+	err := FoldLevels(ctx, func() {}, updates, traces, modes, levels,
 		func(v circuit.Millivolts, pts map[circuit.Mode]*Point, fails map[circuit.Mode]*CellError) error {
 			if len(fails) > 0 {
 				// Deterministic representative: baseline's failure first.
-				fail := fails[circuit.ModeBaseline]
-				if fail == nil {
-					fail = fails[circuit.ModeIRAW]
-				}
+				fail := cmp.Or(fails[circuit.ModeBaseline], fails[circuit.ModeIRAW])
 				failed = append(failed, fail)
-				if emit != nil {
-					emit(Fig11bRow{Vcc: v}, fail)
-				}
+				emit(Fig11bRow{Vcc: v}, fail)
 				return nil
 			}
 			row := fig11bRow(v, pts[circuit.ModeBaseline].Agg, pts[circuit.ModeIRAW].Agg)
 			rows = append(rows, row)
-			if emit != nil {
-				emit(row, nil)
-			}
+			emit(row, nil)
 			return nil
 		})
 	if err != nil {

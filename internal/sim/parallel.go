@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"errors"
-	"sort"
+	"slices"
 
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
@@ -55,12 +56,7 @@ func (r *Runner) runPoints(ctx context.Context, specs []PointSpec) ([][]*core.Re
 		return nil, nil, err
 	}
 	if len(failed) > 0 {
-		sort.Slice(failed, func(i, j int) bool {
-			if failed[i].Point != failed[j].Point {
-				return failed[i].Point < failed[j].Point
-			}
-			return failed[i].Trace < failed[j].Trace
-		})
+		sortCells(failed)
 		return results, nil, &PartialError{Cells: failed, Total: total}
 	}
 
@@ -90,44 +86,40 @@ func (r *Runner) RunPoint(ctx context.Context, cfg core.Config, traces []*trace.
 }
 
 // Sweep runs the suite for each voltage level in each mode on the runner's
-// pool, collecting the streaming sweep into a grid. The result is indexed
-// [mode][voltage]. In partial mode, failed operating points are simply
-// absent from the grid and a *PartialError (cells in point order) comes
-// back alongside the completed points.
+// pool, collecting the level fold (StreamLevels) into a grid. The result is
+// indexed [mode][voltage]. In partial mode, failed operating points are
+// simply absent from the grid and a *PartialError comes back alongside the
+// completed points: one lowest-trace-index cell per failed point, in point
+// order, with Total counting points.
 func (r *Runner) Sweep(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts) (map[circuit.Mode]map[circuit.Millivolts]*Point, error) {
 	out := make(map[circuit.Mode]map[circuit.Millivolts]*Point, len(modes))
 	for _, mode := range modes {
 		out[mode] = make(map[circuit.Millivolts]*Point, len(levels))
 	}
-	var firstErr error
 	var failed []*CellError
-	for u := range r.SweepStream(ctx, traces, modes, levels) {
-		if u.Err != nil {
-			if !u.Terminal {
-				failed = append(failed, asCellError(u.Err))
-				continue
+	err := r.StreamLevels(ctx, traces, modes, levels,
+		func(v circuit.Millivolts, pts map[circuit.Mode]*Point, fails map[circuit.Mode]*CellError) error {
+			for m, p := range pts {
+				out[m][v] = p
 			}
-			if firstErr == nil {
-				firstErr = u.Err
+			for _, ce := range fails {
+				failed = append(failed, ce)
 			}
-			continue
-		}
-		out[u.Mode][u.Vcc] = u.Point
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+			return nil
+		})
+	if err != nil {
 		return nil, err
 	}
 	if len(failed) > 0 {
-		sort.Slice(failed, func(i, j int) bool {
-			if failed[i].Point != failed[j].Point {
-				return failed[i].Point < failed[j].Point
-			}
-			return failed[i].Trace < failed[j].Trace
-		})
+		sortCells(failed)
 		return out, &PartialError{Cells: failed, Total: len(modes) * len(levels)}
 	}
 	return out, nil
+}
+
+// sortCells orders failed cells by (point, trace).
+func sortCells(cells []*CellError) {
+	slices.SortFunc(cells, func(a, b *CellError) int {
+		return cmp.Or(cmp.Compare(a.Point, b.Point), cmp.Compare(a.Trace, b.Trace))
+	})
 }

@@ -20,10 +20,16 @@
 //
 //   - runPoints (backing RunPoint and every ablation) places updates into
 //     (point, trace-index) slots and aggregates after the stream closes;
-//   - SweepStream folds cells into operating points and re-emits each
-//     point as its last trace lands (progressive consumers — cmd/figures,
-//     cmd/vccsweep — render rows from it before the grid finishes);
-//   - Sweep collects SweepStream into the [mode][voltage] grid.
+//   - FoldLevels is the one fold of a sweep grid's cells into operating
+//     points and levels: it hands each voltage to its consumer as the
+//     level's last cell lands (progressive consumers — cmd/figures,
+//     cmd/vccsweep — render rows before the grid finishes). It reads any
+//     grid stream in StreamGrid's point order: a local Runner.StreamGrid,
+//     or the sweep daemon's cells through service.Client.Stream, the
+//     adapter that maps each daemon cell event to the PointUpdate a local
+//     stream would emit. StreamLevels is FoldLevels over StreamGrid;
+//   - Sweep collects StreamLevels into the [mode][voltage] grid, and
+//     Figure11bFold derives Figure 11(b)'s rows from either feed.
 //
 // Before simulating, Stream looks every cell up by its content address
 // (Runner.CellKey: trace bytes, full core configuration, engine version
@@ -240,19 +246,6 @@ type Point struct {
 // to rows; the result is indexed [mode][voltage].
 func Sweep(traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts) (map[circuit.Mode]map[circuit.Millivolts]*Point, error) {
 	return defaultRunner.Sweep(context.Background(), traces, modes, levels)
-}
-
-// SweepStream runs the (modes x levels) grid on the default runner and
-// emits each operating point the moment its last trace completes; see
-// Runner.SweepStream for the drain contract.
-func SweepStream(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts) <-chan SweepUpdate {
-	return defaultRunner.SweepStream(ctx, traces, modes, levels)
-}
-
-// StreamLevels collects a streaming sweep voltage by voltage on the
-// default runner; see Runner.StreamLevels.
-func StreamLevels(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts, onLevel func(circuit.Millivolts, map[circuit.Mode]*Point, map[circuit.Mode]*CellError) error) error {
-	return defaultRunner.StreamLevels(ctx, traces, modes, levels, onLevel)
 }
 
 // CalibratedEnergy builds an energy model calibrated on the 600 mV baseline

@@ -15,6 +15,7 @@ import (
 	"lowvcc/internal/circuit"
 	"lowvcc/internal/core"
 	"lowvcc/internal/trace"
+	"lowvcc/internal/workload"
 )
 
 // SweepSpec is a serializable sweep request: everything needed to
@@ -142,6 +143,12 @@ func (s SweepSpec) Levels() []circuit.Millivolts {
 	return levels
 }
 
+// TracesPerPoint is how many traces the spec's suite holds — every
+// operating point's cell count — without generating it.
+func (s SweepSpec) TracesPerPoint() int {
+	return len(workload.Profiles()) * s.SeedsPerProfile
+}
+
 // Traces materializes the spec's workload suite (memoized by workload's
 // keyed cache, so repeated materialization across sweeps is free).
 func (s SweepSpec) Traces() []*trace.Trace {
@@ -153,6 +160,20 @@ func (s SweepSpec) Traces() []*trace.Trace {
 // defined.
 func (s SweepSpec) NewRunner() *Runner {
 	return &Runner{WindowInsts: s.WindowInsts, WarmInsts: s.WarmInsts, Width: s.Width}
+}
+
+// SweepSpec is the spec of the (modes x full range) grid over suite under
+// r's windowing plan and core width: the request a sweep daemon needs to
+// key and simulate the cells r would (NewRunner's inverse).
+func (r *Runner) SweepSpec(suite SuiteSpec, modes []circuit.Mode) SweepSpec {
+	spec := SweepSpec{
+		InstsPerTrace: suite.InstsPerTrace, SeedsPerProfile: suite.SeedsPerProfile,
+		WindowInsts: r.WindowInsts, WarmInsts: r.WarmInsts, Width: r.Width,
+	}
+	for _, m := range modes {
+		spec.Modes = append(spec.Modes, m.String())
+	}
+	return spec
 }
 
 // PointConfig builds the core configuration of one of the spec's cells —
@@ -169,11 +190,4 @@ func (s SweepSpec) PointConfig(v circuit.Millivolts, mode circuit.Mode) core.Con
 // fault-injection rules match either way.
 func SweepLabel(v circuit.Millivolts, mode circuit.Mode) string {
 	return fmt.Sprintf("sweep %v %v", v, mode)
-}
-
-// Fig11bFrom derives one voltage's Figure 11(b) row from the two designs'
-// aggregate results — exported for remote-sweep clients that receive the
-// aggregates over the wire instead of simulating locally.
-func Fig11bFrom(v circuit.Millivolts, base, iraw *core.Result) Fig11bRow {
-	return fig11bRow(v, base, iraw)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -52,6 +53,11 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 	r := got.NewRunner()
 	if r.WindowInsts != 1000 || r.WarmInsts != -1 || r.Width != 4 {
 		t.Fatalf("NewRunner dropped windowing or width: %+v", r)
+	}
+	back := r.SweepSpec(SuiteSpec{InstsPerTrace: got.InstsPerTrace, SeedsPerProfile: got.SeedsPerProfile}, modes)
+	back.LevelsMV = got.LevelsMV
+	if !reflect.DeepEqual(back, got) {
+		t.Fatalf("Runner.SweepSpec = %+v, want NewRunner's spec %+v back", back, got)
 	}
 }
 
@@ -113,6 +119,18 @@ func TestSweepLabelMatchesStream(t *testing.T) {
 	specs := (&Runner{}).sweepSpecs(nil, []circuit.Mode{circuit.ModeIRAW}, []circuit.Millivolts{475})
 	if got, want := specs[0].Label, SweepLabel(475, circuit.ModeIRAW); got != want {
 		t.Fatalf("sweepSpecs label %q != SweepLabel %q", got, want)
+	}
+}
+
+// TestTracesPerPointMatchesSuite: a daemon client sizes each point's cells
+// without generating the suite, so the count must match what the suite
+// generates.
+func TestTracesPerPointMatchesSuite(t *testing.T) {
+	for _, seeds := range []int{1, 2} {
+		spec := SweepSpec{InstsPerTrace: 500, SeedsPerProfile: seeds}
+		if got, want := spec.TracesPerPoint(), len(spec.Traces()); got != want {
+			t.Fatalf("seeds %d: TracesPerPoint %d, suite holds %d traces", seeds, got, want)
+		}
 	}
 }
 

@@ -55,7 +55,8 @@ type PointUpdate struct {
 	// Err carries a failure. With Point >= 0 it is one cell's isolated
 	// *CellError (AllowPartial mode; the stream continues). With Point < 0
 	// it is the terminal update: the deterministic lowest-index *CellError
-	// in strict mode, or the context's error on cancellation.
+	// in strict mode, or the context's error on cancellation (from a sweep
+	// daemon's stream, why the sweep ended short).
 	Err error
 	// Done and Total report stream progress in cells.
 	Done, Total int
@@ -772,26 +773,6 @@ func (r *Runner) runWindowOnce(ctx context.Context, spec *PointSpec, wc *workerC
 	return nil
 }
 
-// SweepUpdate is one event on a streaming sweep: a completed operating
-// point (all traces merged), one operating point's isolated failure
-// (AllowPartial mode), or the sweep's terminal error.
-type SweepUpdate struct {
-	Mode circuit.Mode
-	Vcc  circuit.Millivolts
-	// Point is the aggregated operating-point measurement; PerTrace its
-	// per-trace results in trace order. Both are nil when Err is set.
-	Point    *Point
-	PerTrace []*core.Result
-	// Err carries a failure. With Terminal false it is one operating
-	// point's failure (the lowest-trace-index *CellError; Mode and Vcc
-	// identify the point, and the sweep continues). With Terminal true it
-	// is the sweep's failure and the last update before close.
-	Err      error
-	Terminal bool
-	// Done and Total report progress in operating points.
-	Done, Total int
-}
-
 // sweepSpecs expands a (modes x levels) grid into PointSpecs in the fixed
 // (mode, level) order every sweep consumer indexes by, each cell at the
 // runner's configured width (pointConfig).
@@ -809,71 +790,85 @@ func (r *Runner) sweepSpecs(traces []*trace.Trace, modes []circuit.Mode, levels 
 	return specs
 }
 
-// StreamLevels collects a streaming sweep voltage by voltage: onLevel is
-// invoked in level order, each call made as soon as every requested mode
-// at that level has completed — while later levels may still be running —
-// with the level's points keyed by mode. With AllowPartial, failed
-// operating points arrive in the fails map instead (and never in pts), so
-// renderers can mark the cell and keep going; without it, fails is always
-// empty (the sweep aborts first). An onLevel error cancels the sweep;
-// StreamLevels always drains the stream before returning, so callers
-// never strand the producer's workers.
-func (r *Runner) StreamLevels(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts, onLevel func(circuit.Millivolts, map[circuit.Mode]*Point, map[circuit.Mode]*CellError) error) error {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// StreamGrid is Stream over the (modes x levels) sweep grid: point p is
+// (modes[p/len(levels)], levels[p%len(levels)]) over every trace, the
+// order FoldLevels reads and the sweep daemon indexes cells in.
+func (r *Runner) StreamGrid(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts) <-chan PointUpdate {
+	return r.Stream(ctx, r.sweepSpecs(traces, modes, levels))
+}
 
-	type slot struct {
-		p    *Point
-		fail *CellError
+// StreamLevels runs the (modes x levels) grid and collects it voltage by
+// voltage: FoldLevels over StreamGrid.
+func (r *Runner) StreamLevels(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts, onLevel func(circuit.Millivolts, map[circuit.Mode]*Point, map[circuit.Mode]*CellError) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	return FoldLevels(ctx, cancel, r.StreamGrid(ctx, traces, modes, levels), len(traces), modes, levels, onLevel)
+}
+
+// FoldLevels is the one fold of a sweep grid's cells into levels: it
+// reads updates in StreamGrid's point order, traces cells per point, from
+// a local Runner.StreamGrid or a daemon's service.Client.Stream alike.
+// onLevel gets each voltage in level order, as soon as every mode at that
+// level has all its cells, with the level's points keyed by mode; a
+// point's traces merge in trace order, so every Point is bit-identical
+// whatever order its cells arrived in. A point with failed cells (partial
+// streams only) arrives in fails instead, as its lowest-trace-index
+// *CellError. FoldLevels returns the terminal update's error, or an
+// onLevel error after calling stop, which must cancel the stream. It
+// always drains updates; a stream cut short by ctx returns ctx's error.
+func FoldLevels(ctx context.Context, stop context.CancelFunc, updates <-chan PointUpdate, traces int, modes []circuit.Mode, levels []circuit.Millivolts, onLevel func(circuit.Millivolts, map[circuit.Mode]*Point, map[circuit.Mode]*CellError) error) error {
+	type point struct {
+		results []*core.Result
+		errs    []error
+		left    int // cells still to arrive
 	}
-	grid := make(map[circuit.Mode]map[circuit.Millivolts]*slot, len(modes))
-	for _, m := range modes {
-		grid[m] = make(map[circuit.Millivolts]*slot, len(levels))
+	pts := make([]point, len(modes)*len(levels))
+	for i := range pts {
+		pts[i] = point{results: make([]*core.Result, traces), errs: make([]error, traces), left: traces}
+	}
+	ready := func(l int) bool {
+		for m := range modes {
+			if pts[m*len(levels)+l].left > 0 {
+				return false
+			}
+		}
+		return true
 	}
 	next := 0 // first level not yet handed to onLevel
 	var firstErr error
-	for u := range r.SweepStream(sctx, traces, modes, levels) {
-		if u.Err != nil && u.Terminal {
-			if firstErr == nil {
-				firstErr = u.Err
-			}
-			continue
-		}
+	for u := range updates {
 		if firstErr != nil {
 			continue // already failing: drain without emitting
 		}
-		if u.Err != nil {
-			ce := asCellError(u.Err)
-			grid[u.Mode][u.Vcc] = &slot{fail: ce}
-		} else {
-			grid[u.Mode][u.Vcc] = &slot{p: u.Point}
+		if u.Point < 0 {
+			firstErr = u.Err
+			continue
 		}
-		for next < len(levels) {
+		p := &pts[u.Point]
+		if u.Err != nil {
+			p.errs[u.Trace] = u.Err
+		} else {
+			p.results[u.Trace] = u.Result
+		}
+		p.left--
+		// A slower earlier level gates emission order.
+		for ; next < len(levels) && ready(next); next++ {
 			v := levels[next]
 			row := make(map[circuit.Mode]*Point, len(modes))
 			fails := make(map[circuit.Mode]*CellError)
-			filled := 0
-			for _, m := range modes {
-				s := grid[m][v]
-				if s == nil {
-					continue
-				}
-				filled++
-				if s.fail != nil {
-					fails[m] = s.fail
+			for mi, m := range modes {
+				p := &pts[mi*len(levels)+next]
+				if i := slices.IndexFunc(p.errs, func(err error) bool { return err != nil }); i >= 0 {
+					fails[m] = asCellError(p.errs[i])
 				} else {
-					row[m] = s.p
+					row[m] = &Point{Vcc: v, Mode: m, Agg: core.MergeResults(p.results)}
 				}
-			}
-			if filled < len(modes) {
-				break // a slower earlier level gates emission order
 			}
 			if err := onLevel(v, row, fails); err != nil {
 				firstErr = err
-				cancel() // stop producing; keep draining
+				stop() // stop producing; keep draining
 				break
 			}
-			next++
 		}
 	}
 	if firstErr != nil {
@@ -890,77 +885,4 @@ func asCellError(err error) *CellError {
 		return ce
 	}
 	return &CellError{Point: -1, Trace: -1, Err: err}
-}
-
-// SweepStream runs the (modes x levels) grid and emits each operating
-// point as soon as its last trace cell lands: per-trace results merge in
-// trace order, so every emitted Point is bit-identical to what the batch
-// Sweep reports for that (mode, level). Emission order follows completion.
-// With AllowPartial, an operating point with failed trace cells emits an
-// update with Err set (Terminal false) and the sweep continues; otherwise
-// — and on cancellation — one Terminal update carries the error and the
-// channel closes. Consumers must drain the channel (cancel ctx to abandon
-// early).
-func (r *Runner) SweepStream(ctx context.Context, traces []*trace.Trace, modes []circuit.Mode, levels []circuit.Millivolts) <-chan SweepUpdate {
-	specs := r.sweepSpecs(traces, modes, levels)
-	out := make(chan SweepUpdate)
-	go func() {
-		defer close(out)
-		type pointState struct {
-			results   []*core.Result
-			errs      []error
-			remaining int
-		}
-		states := make([]pointState, len(specs))
-		for i := range specs {
-			states[i] = pointState{
-				results:   make([]*core.Result, len(traces)),
-				errs:      make([]error, len(traces)),
-				remaining: len(traces),
-			}
-		}
-		done := 0
-		emit := func(u SweepUpdate) {
-			u.Done, u.Total = done, len(specs)
-			select {
-			case out <- u:
-			case <-ctx.Done():
-			}
-		}
-		for u := range r.Stream(ctx, specs) {
-			if u.Err != nil && u.Point < 0 {
-				emit(SweepUpdate{Err: u.Err, Terminal: true})
-				continue
-			}
-			st := &states[u.Point]
-			if u.Err != nil {
-				st.errs[u.Trace] = u.Err
-			} else {
-				st.results[u.Trace] = u.Result
-			}
-			if st.remaining--; st.remaining > 0 {
-				continue
-			}
-			mode := modes[u.Point/len(levels)]
-			v := levels[u.Point%len(levels)]
-			done++
-			var pointErr error
-			for _, err := range st.errs {
-				if err != nil {
-					pointErr = err // lowest trace index: deterministic
-					break
-				}
-			}
-			if pointErr != nil {
-				emit(SweepUpdate{Mode: mode, Vcc: v, Err: pointErr})
-				continue
-			}
-			emit(SweepUpdate{
-				Mode: mode, Vcc: v,
-				Point:    &Point{Vcc: v, Mode: mode, Agg: core.MergeResults(st.results)},
-				PerTrace: st.results,
-			})
-		}
-	}()
-	return out
 }

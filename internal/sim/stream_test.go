@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -221,26 +222,36 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// TestSweepStreamMatchesBatch: every point emitted by SweepStream is
-// bit-identical to the batch Sweep's grid entry, and the stream covers the
-// whole grid exactly once.
+// TestSweepStreamMatchesBatch: every level StreamLevels emits is
+// bit-identical, point for point, to the batch Sweep's grid, the levels
+// arrive in order, and the fold covers the whole grid exactly once.
 func TestSweepStreamMatchesBatch(t *testing.T) {
 	traces := SuiteSpec{InstsPerTrace: 3000, SeedsPerProfile: 1}.Traces()
 	batch, err := (&Runner{Workers: 2}).Sweep(context.Background(), traces, streamModes, streamLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := 0
-	for u := range (&Runner{Workers: 2}).SweepStream(context.Background(), traces, streamModes, streamLevels) {
-		if u.Err != nil {
-			t.Fatal(u.Err)
-		}
-		got++
-		if !reflect.DeepEqual(batch[u.Mode][u.Vcc], u.Point) {
-			t.Errorf("%v %v: streamed point differs from batch grid", u.Mode, u.Vcc)
-		}
+	var got []circuit.Millivolts
+	err = (&Runner{Workers: 2}).StreamLevels(context.Background(), traces, streamModes, streamLevels,
+		func(v circuit.Millivolts, pts map[circuit.Mode]*Point, fails map[circuit.Mode]*CellError) error {
+			if len(fails) != 0 {
+				t.Fatalf("%v: strict stream reported failed points %v", v, fails)
+			}
+			got = append(got, v)
+			if len(pts) != len(streamModes) {
+				t.Errorf("%v: level has %d points, want %d", v, len(pts), len(streamModes))
+			}
+			for _, m := range streamModes {
+				if !reflect.DeepEqual(batch[m][v], pts[m]) {
+					t.Errorf("%v %v: streamed point differs from batch grid", m, v)
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := len(streamModes) * len(streamLevels); got != want {
-		t.Fatalf("stream emitted %d points, want %d", got, want)
+	if !slices.Equal(got, streamLevels) {
+		t.Fatalf("stream emitted levels %v, want %v", got, streamLevels)
 	}
 }

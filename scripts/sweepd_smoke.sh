@@ -144,6 +144,7 @@ echo "sweepd_smoke: second-grid daemon CSV identical to local CSV" >&2
 
 check_replayed() { # check_replayed <sweep id> <replayed levels of 26>
   local st replayed total
+  [ -n "$1" ] || { echo "sweepd_smoke: FAIL client printed no sweep ID" >&2; exit 1; }
   st="$(curl -fsS "http://$ADDR/api/v1/sweeps/$1")"
   replayed="$(sed -n 's/.*"replayed":\([0-9]*\).*/\1/p' <<< "$st")"
   total="$(sed -n 's/.*"total":\([0-9]*\).*/\1/p' <<< "$st")"
@@ -155,21 +156,12 @@ check_replayed() { # check_replayed <sweep id> <replayed levels of 26>
   fi
   echo "sweepd_smoke: $1 replayed $replayed of $total cells" >&2
 }
-# sweep_ids prints the first <count> sweep IDs in submission order. IDs are
-# "sweep-<n>" drawn from a counter that lease IDs share, so walk it.
-sweep_ids() { # sweep_ids <count>
-  local n=1 found=0
-  while [ "$found" -lt "$1" ] && [ "$n" -le 5000 ]; do
-    if curl -fsS -o /dev/null "http://$ADDR/api/v1/sweeps/sweep-$n" 2>/dev/null; then
-      echo "sweep-$n"
-      found=$((found + 1))
-    fi
-    n=$((n + 1))
-  done
+# sweep_id prints the sweep ID a vccsweep -server run named on stderr.
+sweep_id() { # sweep_id <client stderr file>
+  sed -n 's/^vccsweep: sweep //p' "$1" | head -n1
 }
-mapfile -t SWEEP_IDS < <(sweep_ids 2)
-check_replayed "${SWEEP_IDS[0]:-none}" 5
-check_replayed "${SWEEP_IDS[1]:-none}" 17
+check_replayed "$(sweep_id "$WORK/client.err")" 5
+check_replayed "$(sweep_id "$WORK/client2.err")" 17
 
 # Windowed sweep: sample windows shard each trace, functional warm-up runs
 # through the warm-state checkpoint store (local: in-process shared store;
